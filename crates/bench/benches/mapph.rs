@@ -4,7 +4,7 @@
 //! factor the paper's conclusion glosses over.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use slb_core::{BoundKind, BoundModel, ModelVariant, Sqd};
+use slb_core::{BoundKind, BoundModel, Sqd};
 use slb_mapph::MapSqd;
 use slb_markov::Map;
 
@@ -33,10 +33,7 @@ fn bench_map_bounds(c: &mut Criterion) {
         let model = MapSqd::new(n, d, &map).unwrap();
         let label = format!("N3_T3_p{phases}");
         group.bench_with_input(BenchmarkId::new("map_assemble", &label), &model, |b, m| {
-            b.iter(|| {
-                m.qbd_blocks(ModelVariant::Lower { threshold: t }, t)
-                    .unwrap()
-            })
+            b.iter(|| m.qbd_blocks(BoundKind::Lower, t).unwrap())
         });
         group.bench_with_input(
             BenchmarkId::new("map_lower_full", &label),

@@ -262,6 +262,34 @@ fn over_deadline_solve_aborts_mid_iteration_and_frees_the_worker() {
 }
 
 #[test]
+fn unknown_policy_is_a_client_error() {
+    // A policy name that happens to contain "interrupted" must be
+    // rejected at decode (400), not read as an aborted solve (503 +
+    // Retry-After, counted in `solve_aborted`, retried by clients).
+    let base = std::env::temp_dir().join(format!("slb-serve-policy-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let daemon = start_daemon(&base);
+    let body = "{\"kind\":\"service\",\"policy\":\"interrupted\",\"n\":3,\"d\":2,\
+                \"rho\":0.5,\"jobs\":20000,\"replications\":1,\"seed\":7}";
+    let (status, answer) = client::request(&daemon.addr, "POST", "/v1/query", Some(body)).unwrap();
+    assert_eq!(status, 400, "{answer}");
+    assert!(answer.contains("unknown policy"), "{answer}");
+    let (_, stats) = client::request(&daemon.addr, "GET", "/stats", None).unwrap();
+    let doc = Json::parse(&stats).unwrap();
+    assert_eq!(
+        doc.get("solve_aborted").unwrap().as_f64(),
+        Some(0.0),
+        "{stats}"
+    );
+
+    client::post_shutdown(&daemon.addr).unwrap();
+    let (status, _) = wait_exit(daemon);
+    assert!(status.success());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
 fn sigint_shuts_down_gracefully() {
     let base = std::env::temp_dir().join(format!("slb-serve-sig-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);

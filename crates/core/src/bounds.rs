@@ -2,19 +2,21 @@
 //! SQ(d) mean delay.
 //!
 //! [`Sqd`] holds the system parameters; [`BoundModel`] assembles the
-//! threshold-truncated chain of either bound variant into QBD blocks
-//! (Section IV, Eq. 8–13) and solves it with `slb-qbd`. The lower bound
+//! threshold-truncated chain of either bound variant into dense QBD
+//! blocks (Section IV, Eq. 8–13) and solves it with the dense solvers of
+//! `slb-qbd`. The blocks are those of the one state space and generator
+//! in [`crate::occupancy`], densified; that module holds the sparse
+//! solvers for large `N`. The lower bound
 //! uses Theorem 3's scalar tail `π_{q+1} = ρᴺ π_q` by default
 //! ([`Sqd::lower_bound`]) with the full matrix-geometric path retained for
 //! cross-validation ([`Sqd::lower_bound_full_r`]); the upper bound always
 //! needs the full rate matrix ([`Sqd::upper_bound`]).
 
+use slb_linalg::Matrix;
 use slb_qbd::{QbdBlocks, SolveOptions};
 
-use crate::statespace::BlockLocation;
-use crate::{
-    asymptotic, transitions_with_mode, BlockSpace, CoreError, ModelVariant, PollMode, Result,
-};
+use crate::occupancy::occupancy_to_state;
+use crate::{asymptotic, CoreError, LumpedModel, ModelVariant, OccupancySpace, PollMode, Result};
 
 /// SQ(d) system parameters: `N` servers, `d` choices per arrival, per-
 /// server arrival rate `λ < 1` (total rate `λN`), unit service rate.
@@ -232,16 +234,18 @@ pub struct BoundResult {
     pub level_states: usize,
 }
 
-/// A threshold-truncated bound model, assembled into QBD form.
+/// A threshold-truncated bound model, assembled into dense QBD form for
+/// the dense solvers.
 ///
-/// Most callers use the [`Sqd`] convenience methods; this type is public
-/// for benchmarks and diagnostics (block inspection, regularity checks).
+/// The blocks come from the occupancy generator through the
+/// [`LumpedModel`] this type holds, densified; only the solvers differ
+/// from the sparse path. Most callers use the [`Sqd`] convenience
+/// methods; this type is public for benchmarks and diagnostics (block
+/// inspection, regularity checks).
 #[derive(Debug, Clone)]
 pub struct BoundModel {
     sqd: Sqd,
-    kind: BoundKind,
-    t: u32,
-    space: BlockSpace,
+    lumped: LumpedModel,
 }
 
 impl BoundModel {
@@ -251,141 +255,54 @@ impl BoundModel {
     ///
     /// [`CoreError::InvalidParameters`] for invalid `(N, T)`.
     pub fn new(sqd: Sqd, kind: BoundKind, t: u32) -> Result<Self> {
-        let space = BlockSpace::new(sqd.n, t)?;
         Ok(BoundModel {
             sqd,
-            kind,
-            t,
-            space,
+            lumped: LumpedModel::new(sqd, kind, t)?,
         })
     }
 
-    /// The model variant seen by the transition generator.
+    /// The model variant of the tuple generator
+    /// ([`crate::transitions_with_mode`]) that this model lumps.
     pub fn variant(&self) -> ModelVariant {
-        match self.kind {
-            BoundKind::Lower => ModelVariant::Lower { threshold: self.t },
-            BoundKind::Upper => ModelVariant::Upper { threshold: self.t },
+        let threshold = self.lumped.threshold();
+        match self.lumped.kind() {
+            BoundKind::Lower => ModelVariant::Lower { threshold },
+            BoundKind::Upper => ModelVariant::Upper { threshold },
         }
     }
 
     /// The underlying block-partitioned state space.
-    pub fn space(&self) -> &BlockSpace {
-        &self.space
+    pub fn space(&self) -> &OccupancySpace {
+        self.lumped.space()
     }
 
-    /// Assembles the six QBD generator blocks.
-    ///
-    /// The repeating blocks `(A0, A1, A2)` are extracted from the
-    /// transitions of `B_1` (whose states have every server at level ≥ 2
-    /// only when needed); level-independence (Lemma 1) guarantees the same
-    /// blocks describe every `B_q`, `q ≥ 1`, and `B_0`'s inner/upward
-    /// blocks — a fact checked by `debug_assert`s here and by integration
-    /// tests.
+    /// Assembles the six QBD generator blocks: the sparse blocks of
+    /// [`LumpedModel::qbd_blocks`], densified.
     ///
     /// # Errors
     ///
     /// Propagates block-validation failures (which would indicate a bug in
     /// the transition rules rather than bad user input).
     pub fn qbd_blocks(&self) -> Result<QbdBlocks> {
-        use slb_linalg::Matrix;
-
-        let variant = self.variant();
-        let (d, lambda, mode) = (self.sqd.d, self.sqd.lambda, self.sqd.poll_mode);
-        let nb = self.space.boundary().len();
-        let m = self.space.block_len();
-
-        let mut r00 = Matrix::zeros(nb, nb);
-        let mut r01 = Matrix::zeros(nb, m);
-        let mut r10 = Matrix::zeros(m, nb);
-        let mut a0 = Matrix::zeros(m, m);
-        let mut a1 = Matrix::zeros(m, m);
-        let mut a2 = Matrix::zeros(m, m);
-
-        // Boundary rows.
-        for (i, s) in self.space.boundary().iter() {
-            let mut outflow = 0.0;
-            for tr in transitions_with_mode(s, d, lambda, variant, mode) {
-                outflow += tr.rate;
-                match self.space.locate(&tr.target) {
-                    Some(BlockLocation::Boundary(j)) => r00[(i, j)] += tr.rate,
-                    Some(BlockLocation::Level { q: 0, index: j }) => r01[(i, j)] += tr.rate,
-                    other => unreachable!(
-                        "boundary transition {s} -> {} lands at {other:?}",
-                        tr.target
-                    ),
+        // The dense blocks are allocated before the sparse assembly runs,
+        // so its short-lived allocations land above them on the heap.
+        // Allocated last, they sit at the heap top and glibc returns
+        // their pages to the OS when a solve frees them; the next model
+        // then faults the megabytes back in (about 1,000 page faults per
+        // model at N = 10, T = 3, some 10% of a dense bounds query).
+        let (nb, m) = (self.space().boundary_len(), self.space().block_len());
+        let mut dense = [(nb, nb), (nb, m), (m, nb), (m, m), (m, m), (m, m)]
+            .map(|(rows, cols)| Matrix::zeros(rows, cols));
+        let b = self.lumped.qbd_blocks()?;
+        let sparse = [b.r00(), b.r01(), b.r10(), b.a0(), b.a1(), b.a2()];
+        for (d, s) in dense.iter_mut().zip(sparse) {
+            for r in 0..s.rows() {
+                for (c, v) in s.row(r) {
+                    d[(r, c)] = v;
                 }
             }
-            r00[(i, i)] -= outflow;
         }
-
-        // Level-0 rows (R10, A1 diag handled below; A0 from here as well).
-        for (i, s) in self.space.block0().iter() {
-            let mut outflow = 0.0;
-            for tr in transitions_with_mode(s, d, lambda, variant, mode) {
-                outflow += tr.rate;
-                match self.space.locate(&tr.target) {
-                    Some(BlockLocation::Boundary(j)) => r10[(i, j)] += tr.rate,
-                    Some(BlockLocation::Level { q: 0, index: j }) => a1[(i, j)] += tr.rate,
-                    Some(BlockLocation::Level { q: 1, index: j }) => a0[(i, j)] += tr.rate,
-                    other => {
-                        unreachable!("level-0 transition {s} -> {} lands at {other:?}", tr.target)
-                    }
-                }
-            }
-            a1[(i, i)] -= outflow;
-        }
-
-        // Downward block A2, extracted from level-1 states; in debug
-        // builds, also re-derive A1/A0 from level 1 and check regularity.
-        #[cfg(debug_assertions)]
-        let mut a1_check = Matrix::zeros(m, m);
-        #[cfg(debug_assertions)]
-        let mut a0_check = Matrix::zeros(m, m);
-        for (i, s0) in self.space.block0().iter() {
-            let s = s0.plus_one();
-            #[cfg(debug_assertions)]
-            let mut outflow = 0.0;
-            for tr in transitions_with_mode(&s, d, lambda, variant, mode) {
-                #[cfg(debug_assertions)]
-                {
-                    outflow += tr.rate;
-                }
-                match self.space.locate(&tr.target) {
-                    Some(BlockLocation::Level { q: 0, index: j }) => a2[(i, j)] += tr.rate,
-                    Some(BlockLocation::Level { q: 1, index: _j }) => {
-                        #[cfg(debug_assertions)]
-                        {
-                            a1_check[(i, _j)] += tr.rate;
-                        }
-                    }
-                    Some(BlockLocation::Level { q: 2, index: _j }) => {
-                        #[cfg(debug_assertions)]
-                        {
-                            a0_check[(i, _j)] += tr.rate;
-                        }
-                    }
-                    other => {
-                        unreachable!("level-1 transition {s} -> {} lands at {other:?}", tr.target)
-                    }
-                }
-            }
-            #[cfg(debug_assertions)]
-            {
-                a1_check[(i, i)] -= outflow;
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(
-                a1.approx_eq(&a1_check, 1e-9),
-                "A1 differs between levels 0 and 1: regularity violated"
-            );
-            debug_assert!(
-                a0.approx_eq(&a0_check, 1e-9),
-                "A0 differs between levels 0 and 1: regularity violated"
-            );
-        }
-
+        let [r00, r01, r10, a0, a1, a2] = dense;
         Ok(QbdBlocks::new(r00, r01, r10, a0, a1, a2)?)
     }
 
@@ -408,7 +325,7 @@ impl BoundModel {
     /// [`CoreError::InvalidParameters`] if called on an upper model — the
     /// scalar tail is a theorem about the lower model only.
     pub fn solve_scalar_tail(&self) -> Result<BoundResult> {
-        if self.kind != BoundKind::Lower {
+        if self.lumped.kind() != BoundKind::Lower {
             return Err(CoreError::InvalidParameters {
                 reason: "the ρᴺ scalar tail (Theorem 3) applies to the lower model only".into(),
             });
@@ -433,21 +350,16 @@ impl BoundModel {
         let blocks = self.qbd_blocks()?;
         let sol = blocks.solve(&SolveOptions::default())?;
         let n = self.sqd.n as f64;
+        let sp = self.space();
         let mut out = Vec::with_capacity(k_max as usize + 1);
         for k in 0..=k_max {
-            let cb: Vec<f64> = self
-                .space
-                .boundary()
-                .iter()
-                .map(|(_, s)| s.as_slice().iter().filter(|&&x| x >= k).count() as f64 / n)
+            let cb: Vec<f64> = (0..sp.boundary_len())
+                .map(|i| f64::from(servers_at_least(sp.boundary_state(i), 0, k)) / n)
                 .collect();
             let frac = sol.mean_cost_per_level(
                 &cb,
-                |q, j| {
-                    let s = self.space.block0().state(j);
-                    // Level q state = template + q on every server.
-                    s.as_slice().iter().filter(|&&x| x + q as u32 >= k).count() as f64 / n
-                },
+                // Level q state = template + q on every server.
+                |q, j| f64::from(servers_at_least(sp.block0_state(j), q as u32, k)) / n,
                 1e-12,
             );
             out.push(frac.min(1.0));
@@ -475,7 +387,7 @@ impl BoundModel {
         use crate::delay_dist::arrival_level_weights;
 
         let blocks = self.qbd_blocks()?;
-        let sol = match self.kind {
+        let sol = match self.lumped.kind() {
             BoundKind::Lower => {
                 let beta = self.sqd.lambda.powi(self.sqd.n as i32);
                 blocks.solve_with_scalar_tail(beta, &SolveOptions::default())?
@@ -498,21 +410,21 @@ impl BoundModel {
             weights[k] += w;
         };
 
-        for ((_, s), &p) in self.space.boundary().iter().zip(sol.boundary()) {
+        let sp = self.space();
+        let kernel =
+            |occ: &[u32]| arrival_level_weights(&occupancy_to_state(occ), d, variant, mode);
+        for (i, &p) in sol.boundary().iter().enumerate() {
             if p <= 0.0 {
                 continue;
             }
-            for (level, prob) in arrival_level_weights(s, d, variant, mode) {
+            for (level, prob) in kernel(sp.boundary_state(i)) {
                 add(level as usize, p * prob);
             }
         }
         // Per-shape kernels are level-invariant: level q shifts every
         // entry (and hence the assigned server's level) by exactly q.
-        let kernels: Vec<Vec<(u32, f64)>> = self
-            .space
-            .block0()
-            .iter()
-            .map(|(_, s)| arrival_level_weights(s, d, variant, mode))
+        let kernels: Vec<Vec<(u32, f64)>> = (0..sp.block_len())
+            .map(|j| kernel(sp.block0_state(j)))
             .collect();
         sol.for_each_level(tail_tol, |q, pi_q| {
             for (kernel, &p) in kernels.iter().zip(pi_q) {
@@ -535,19 +447,7 @@ impl BoundModel {
     /// is busy there. Delay follows from Little's law at the true arrival
     /// rate `λN`, plus the unit service time.
     fn result_from(&self, sol: &slb_qbd::QbdStationary) -> BoundResult {
-        let cb: Vec<f64> = self
-            .space
-            .boundary()
-            .iter()
-            .map(|(_, s)| f64::from(s.waiting()))
-            .collect();
-        let c0: Vec<f64> = self
-            .space
-            .block0()
-            .iter()
-            .map(|(_, s)| f64::from(s.waiting()))
-            .collect();
-        let growth = vec![self.sqd.n as f64; self.space.block_len()];
+        let (cb, c0, growth) = self.lumped.cost_vectors();
         let waiting = sol.mean_linear_cost(&cb, &c0, &growth);
         let mean_wait = waiting / (self.sqd.lambda * self.sqd.n as f64);
         BoundResult {
@@ -555,10 +455,22 @@ impl BoundModel {
             waiting_jobs: waiting,
             residual: sol.residual(),
             g_iterations: sol.g_iterations(),
-            boundary_states: self.space.boundary().len(),
-            level_states: self.space.block_len(),
+            boundary_states: self.space().boundary_len(),
+            level_states: self.space().block_len(),
         }
     }
+}
+
+/// Servers of macro-state `occ`, shifted up `shift` levels, holding at
+/// least `k` jobs.
+fn servers_at_least(occ: &[u32], shift: u32, k: u32) -> u32 {
+    let base = occ[0] + shift;
+    occ[1..]
+        .iter()
+        .zip(base..)
+        .filter(|&(_, level)| level >= k)
+        .map(|(&c, _)| c)
+        .sum()
 }
 
 #[cfg(test)]

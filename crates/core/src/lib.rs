@@ -65,7 +65,6 @@ pub mod transient;
 mod bounds;
 mod error;
 mod state;
-mod statespace;
 mod transitions;
 
 pub use bounds::{BoundKind, BoundModel, BoundResult, Sqd};
@@ -73,7 +72,6 @@ pub use delay_dist::DelayDistribution;
 pub use error::CoreError;
 pub use occupancy::{LumpedModel, OccLocation, OccupancySpace};
 pub use state::{Group, State};
-pub use statespace::{BlockLocation, BlockSpace, StateIndex};
 pub use transitions::{transitions, transitions_with_mode, ModelVariant, PollMode, Transition};
 
 /// Convenience result alias for fallible operations in this crate.

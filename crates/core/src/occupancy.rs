@@ -1,28 +1,32 @@
-//! Occupancy-lumped ("macro-state") representation of the bound models.
+//! The state space and the transition generator of the bound models.
 //!
-//! The dense path in [`crate::BoundModel`] enumerates sorted server
-//! tuples `m1 ≥ … ≥ mN` and assembles dense QBD blocks — fine for the
-//! paper's `N ≤ 16`, hopeless at production scale where the repeating
-//! block holds `C(N+T−1, T)` states (32,896 at `N = 256, T = 2`;
-//! 131,328 at `N = 512`) and a dense block would need gigabytes.
-//!
-//! This module exploits that every transition rate depends on the state
+//! Every transition rate of the SQ(d) bound models depends on a state
 //! only through its *occupancy vector*: how many servers sit at each
 //! level. A macro-state is stored as `[base, c_0, …, c_T]` where `base`
 //! is the shortest-queue length and `c_j` counts servers at level
-//! `base + j` (so `c_0 ≥ 1` and `Σ c_j = N`). This is an exact lumping —
-//! the canonical sorted tuple and its occupancy vector are two spellings
-//! of the same state, and [`OccupancySpace`] enumerates them in exactly
-//! the canonical `(total, lexicographic)` order of
-//! [`crate::BlockSpace`], so the lumped generator blocks are
-//! entry-for-entry equal to the dense ones (a fact pinned by tests).
-//! The payoff is the *assembly path*: transitions are generated straight
-//! from the `T + 1` counters in `O(T)` per state, rates land directly in
-//! sparse [`CooBuilder`]s, and no dense `m × m` matrix ever exists.
+//! `base + j` (so `c_0 ≥ 1` and `Σ c_j = N`). The sorted server tuple
+//! `m1 ≥ … ≥ mN` ([`State`]) and its occupancy vector are two spellings
+//! of the same state — an exact lumping in the sense of Kemeny & Snell,
+//! *Finite Markov Chains* (1960) — and [`OccupancySpace`] enumerates the
+//! macro-states in the paper's canonical `(total, lexicographic)` tuple
+//! order, block by block (Eq. 8).
 //!
-//! [`LumpedModel`] mirrors [`crate::BoundModel`] on top of this space
-//! and solves with the sparse machinery of `slb-qbd`:
-//! the Theorem-3 scalar tail for the lower bound
+//! [`for_each_transition`] generates the transitions of one macro-state,
+//! including the paper's threshold redirects, straight from the `T + 1`
+//! counters in `O(T)` per state. Every bound model is assembled from
+//! it: [`LumpedModel`] puts its rates into sparse
+//! [`CooBuilder`]s, [`crate::BoundModel`] densifies those blocks for the
+//! dense solvers, and `slb-mapph` builds the MAP product chain from it.
+//! The tuple generator [`crate::transitions_with_mode`] remains the
+//! oracle it is tested against, and serves the unlumped chains (brute
+//! force, transient analysis, the delay kernels).
+//!
+//! Two solvers work over this one space. The dense one
+//! ([`crate::BoundModel`]: logarithmic reduction, full `R`) serves the
+//! paper's small `N`; the sparse one here serves production scale,
+//! where the repeating block holds `C(N+T−1, T)` states (32,896 at
+//! `N = 256, T = 2`; 131,328 at `N = 512`) and a dense block would need
+//! gigabytes: the Theorem-3 scalar tail for the lower bound
 //! ([`Sqd::lower_bound_lumped`]), a reflecting level-doubling truncation
 //! for the upper bound ([`Sqd::upper_bound_lumped`]), and a
 //! decay-rate-only fast path ([`Sqd::decay_rate_lumped`]).
@@ -67,7 +71,7 @@ pub enum OccLocation {
 ///
 /// # fn main() -> Result<(), slb_core::CoreError> {
 /// let space = OccupancySpace::new(3, 2)?;
-/// // Same block cardinality as the dense space: C(N+T−1, T) = 6.
+/// // Each repeating block holds C(N+T−1, T) = C(4, 2) = 6 states.
 /// assert_eq!(space.block_len(), 6);
 /// # Ok(())
 /// # }
@@ -225,6 +229,25 @@ impl OccupancySpace {
         &self.block0[i * self.stride..(i + 1) * self.stride]
     }
 
+    /// Total jobs of a macro-state, `base·N + Σ j·c_j`.
+    pub fn total(&self, occ: &[u32]) -> u64 {
+        total_of(occ, self.n)
+    }
+
+    /// Waiting-job costs `Σ_i max(m_i − 1, 0)` of the boundary and of
+    /// the template-block macro-states, in index order — the cost every
+    /// bound model's mean delay is read from.
+    pub fn waiting_costs(&self) -> (Vec<f64>, Vec<f64>) {
+        let n = self.n;
+        let boundary = (0..self.boundary_len())
+            .map(|i| waiting_of(self.boundary_state(i), n))
+            .collect();
+        let block0 = (0..self.block_len())
+            .map(|i| waiting_of(self.block0_state(i), n))
+            .collect();
+        (boundary, block0)
+    }
+
     /// Locates a canonical macro-state within the partition; `None` if it
     /// lies outside the threshold set or has the wrong record length.
     pub fn locate(&self, occ: &[u32]) -> Option<OccLocation> {
@@ -273,8 +296,9 @@ impl OccupancySpace {
 }
 
 /// Expands a macro-state `[base, c_0, …, c_T]` into the equivalent
-/// sorted server tuple — the inverse of [`state_to_occupancy`], used to
-/// cross-check the lumping against the dense space.
+/// sorted server tuple — the inverse of [`state_to_occupancy`], used
+/// where a model needs the unlumped state (the delay kernels) and to
+/// test the generator against the tuple oracle.
 ///
 /// # Example
 ///
@@ -365,9 +389,9 @@ fn count_at(occ: &[u32], lvl: u64) -> u32 {
 }
 
 /// Canonical order of macro-states: by total, then lexicographically on
-/// the expanded non-increasing tuple — identical to the dense
-/// [`crate::StateIndex`] order, which is what makes the lumped blocks
-/// entry-for-entry comparable to the dense ones. Comparing expansions
+/// the expanded non-increasing tuple — the paper's intra-block order,
+/// under which the level shift `base ↦ base + 1` maps block `q` onto
+/// block `q + 1` index for index. Comparing expansions
 /// reduces to walking absolute levels top-down: at the first level where
 /// the counts differ, the state with *more* servers there is the
 /// lexicographically greater one.
@@ -410,8 +434,10 @@ fn sort_canonical(flat: Vec<u32>, stride: usize, n: usize) -> Vec<u32> {
     out
 }
 
-/// Reusable buffers for the transition generator.
-struct TransitionScratch {
+/// Reusable buffers for [`for_each_transition`]: make one per assembly
+/// loop and pass it to every call, so generating a row allocates nothing.
+#[derive(Debug)]
+pub struct TransitionScratch {
     /// Tie groups top-down: `(relative level, start, end)` with 1-based
     /// inclusive positions in the expanded sorted tuple.
     groups: Vec<(usize, usize, usize)>,
@@ -420,7 +446,9 @@ struct TransitionScratch {
 }
 
 impl TransitionScratch {
-    fn new(stride: usize) -> Self {
+    /// Buffers for macro-states of record length `stride`, i.e. `T + 2`
+    /// (see [`OccupancySpace::stride`]).
+    pub fn new(stride: usize) -> Self {
         TransitionScratch {
             groups: Vec::with_capacity(stride),
             target: vec![0; stride],
@@ -483,14 +511,40 @@ fn upper_arrival_into(occ: &[u32], target: &mut [u32]) {
     target[1 + t] += 1; // … for old level T+1
 }
 
-/// Enumerates the transitions of one macro-state of a bound model,
-/// mirroring `transitions_with_mode` on the dense tuples exactly
-/// (including the paper's four threshold redirects), but in `O(T)` per
-/// state. Parallel transitions to the same target are emitted
-/// separately; the sparse builder accumulates them, as the dense `+=`
-/// does.
-#[allow(clippy::too_many_arguments)] // internal hot path; a params struct would just rename the list
-fn for_each_transition(
+/// The transition generator of the bound models: calls `emit(target,
+/// rate)` for every outgoing transition of macro-state `occ` of an
+/// `n`-server SQ(d) model with per-server arrival rate `lambda`.
+///
+/// It mirrors [`crate::transitions_with_mode`] on the expanded tuple
+/// exactly (including the paper's four threshold redirects), but works
+/// in `O(T)` per state. Transitions come in the tuple generator's order:
+/// arrivals by tie group from the top, then departures from the top.
+/// Parallel transitions to the same target are emitted separately, for
+/// the caller to accumulate. `target` is a canonical macro-state in a
+/// scratch buffer: it is valid only during the call, and `emit` may
+/// modify it.
+///
+/// `occ` must be a canonical macro-state (`c_0 ≥ 1`, `Σ c_j = n`) of
+/// the record length `scratch` was made for; the output is unspecified
+/// otherwise.
+///
+/// # Example
+///
+/// ```
+/// use slb_core::occupancy::{for_each_transition, TransitionScratch};
+/// use slb_core::{BoundKind, PollMode};
+///
+/// // (2, 1, 1) at T = 2: base 1, two servers at level 1, one at level 2.
+/// let occ = [1, 2, 1, 0];
+/// let mut scratch = TransitionScratch::new(occ.len());
+/// let mut total = 0.0;
+/// for_each_transition(&occ, 3, 2, 0.5, BoundKind::Lower, PollMode::WithoutReplacement,
+///     &mut scratch, |_, rate| total += rate);
+/// // Arrival rate λN = 1.5 plus three busy servers.
+/// assert!((total - 4.5).abs() < 1e-12);
+/// ```
+#[allow(clippy::too_many_arguments)] // hot path; a params struct would just rename the list
+pub fn for_each_transition(
     occ: &[u32],
     n: usize,
     d: usize,
@@ -567,8 +621,10 @@ fn waiting_of(occ: &[u32], n: usize) -> f64 {
     (total_of(occ, n) - (n as u64 - idle)) as f64
 }
 
-/// A bound model assembled over the occupancy-lumped state space —
-/// the sparse, production-`N` counterpart of [`crate::BoundModel`].
+/// A bound model assembled over the occupancy state space in sparse
+/// form, with the sparse solvers for production `N`.
+/// [`crate::BoundModel`] holds one and densifies its blocks for the
+/// dense solvers.
 ///
 /// # Example
 ///
@@ -642,9 +698,9 @@ impl LumpedModel {
     ///
     /// Boundary rows fill `R00/R01`, template-block rows fill
     /// `R10/A1/A0`, and `A2` is read off the first repeating block one
-    /// level up — the same extraction points as the dense
-    /// [`crate::BoundModel::qbd_blocks`], so level independence carries
-    /// over unchanged.
+    /// level up. Level independence (Lemma 1) makes these blocks
+    /// describe every deeper level, a fact pinned by the integration
+    /// tests.
     ///
     /// # Errors
     ///
@@ -824,16 +880,9 @@ impl LumpedModel {
     /// Waiting-job cost vectors: boundary costs, template-block costs,
     /// and the per-level growth (`N` — every server is busy on repeating
     /// levels).
-    fn cost_vectors(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let sp = &self.space;
-        let n = sp.n();
-        let cb = (0..sp.boundary_len())
-            .map(|i| waiting_of(sp.boundary_state(i), n))
-            .collect();
-        let c0 = (0..sp.block_len())
-            .map(|i| waiting_of(sp.block0_state(i), n))
-            .collect();
-        let growth = vec![n as f64; sp.block_len()];
+    pub(crate) fn cost_vectors(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+        let (cb, c0) = self.space.waiting_costs();
+        let growth = vec![self.space.n() as f64; self.space.block_len()];
         (cb, c0, growth)
     }
 
@@ -966,54 +1015,161 @@ impl Sqd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BlockSpace, BoundModel};
+    use crate::BoundModel;
+
+    fn tuple(v: &[u32]) -> State {
+        State::new(v.to_vec()).unwrap()
+    }
 
     #[test]
-    fn space_matches_dense_blockspace_in_order() {
-        for &(n, t) in &[(2usize, 1u32), (3, 2), (4, 3), (6, 2), (5, 1)] {
-            let occ = OccupancySpace::new(n, t).unwrap();
-            let dense = BlockSpace::new(n, t).unwrap();
-            assert_eq!(occ.boundary_len(), dense.boundary().len(), "N={n} T={t}");
-            assert_eq!(occ.block_len(), dense.block_len(), "N={n} T={t}");
-            for (i, s) in dense.boundary().iter() {
-                assert_eq!(&occupancy_to_state(occ.boundary_state(i)), s);
+    fn block_size_matches_paper_formula() {
+        // Paper: block size C(N+T−1, T).
+        for &(n, t) in &[(3usize, 2u32), (3, 3), (6, 3), (4, 2), (5, 1), (12, 3)] {
+            let space = OccupancySpace::new(n, t).unwrap();
+            let expect = binomial(n - 1 + t as usize, t as usize) as usize;
+            assert_eq!(space.block_len(), expect, "N={n}, T={t}");
+        }
+    }
+
+    #[test]
+    fn boundary_contains_every_idle_state() {
+        let (n, t) = (3usize, 2u32);
+        let space = OccupancySpace::new(n, t).unwrap();
+        for i in 0..space.boundary_len() {
+            let s = occupancy_to_state(space.boundary_state(i));
+            assert!(u64::from(s.total()) <= space.boundary_cap());
+            assert!(s.diff() <= t);
+        }
+        // Every state of S_T with an idle server lies in the boundary,
+        // up to the extreme (T, …, T, 0) with total exactly (N−1)T.
+        let mut idle = 0;
+        for a in 0..=t {
+            for b in 0..=a {
+                let s = tuple(&[a, b, 0]);
+                let occ = state_to_occupancy(&s, t).unwrap();
+                assert!(
+                    matches!(space.locate(&occ), Some(OccLocation::Boundary(_))),
+                    "{s}"
+                );
+                idle += 1;
             }
-            for (i, s) in dense.block0().iter() {
-                assert_eq!(&occupancy_to_state(occ.block0_state(i)), s);
+        }
+        assert_eq!(idle, 6);
+        assert_eq!(u64::from(tuple(&[2, 2, 0]).total()), space.boundary_cap());
+    }
+
+    #[test]
+    fn block0_states_have_all_servers_busy() {
+        for &(n, t) in &[(3usize, 2u32), (4, 3), (6, 2)] {
+            let space = OccupancySpace::new(n, t).unwrap();
+            let cap = space.boundary_cap();
+            for i in 0..space.block_len() {
+                let s = occupancy_to_state(space.block0_state(i));
+                assert!(s.level(n - 1) >= 1, "block-0 state {s} has idle server");
+                let total = u64::from(s.total());
+                assert!(total > cap && total <= cap + n as u64, "{s}");
             }
         }
     }
 
     #[test]
-    fn locate_agrees_with_dense() {
-        let occ = OccupancySpace::new(4, 2).unwrap();
-        let dense = BlockSpace::new(4, 2).unwrap();
-        for i in 0..occ.boundary_len() {
-            let s = occ.boundary_state(i);
-            assert_eq!(occ.locate(s), Some(OccLocation::Boundary(i)));
+    fn shapes_are_unique_per_block() {
+        let space = OccupancySpace::new(4, 2).unwrap();
+        let mut shapes: Vec<&[u32]> = (0..space.block_len())
+            .map(|i| &space.block0_state(i)[1..])
+            .collect();
+        shapes.sort();
+        shapes.dedup();
+        assert_eq!(shapes.len(), space.block_len());
+    }
+
+    #[test]
+    fn locate_roundtrips() {
+        let space = OccupancySpace::new(4, 2).unwrap();
+        for i in 0..space.boundary_len() {
+            let occ = space.boundary_state(i);
+            assert_eq!(space.locate(occ), Some(OccLocation::Boundary(i)));
+            let s = occupancy_to_state(occ);
+            assert_eq!(state_to_occupancy(&s, 2).as_deref(), Some(occ));
         }
-        for q in 0..3u32 {
-            for i in 0..occ.block_len() {
-                let mut s = occ.block0_state(i).to_vec();
-                s[0] += q;
+        // Every block-q state locates to (q, index of its template).
+        for q in 0..4u32 {
+            for i in 0..space.block_len() {
+                let mut occ = space.block0_state(i).to_vec();
+                occ[0] += q;
                 assert_eq!(
-                    occ.locate(&s),
+                    space.locate(&occ),
                     Some(OccLocation::Level {
                         q: q as usize,
                         index: i
-                    })
-                );
-                // And the dense space sees the very same (q, index).
-                let ds = occupancy_to_state(&s);
-                assert_eq!(
-                    dense.locate(&ds),
-                    Some(crate::BlockLocation::Level {
-                        q: q as usize,
-                        index: i
-                    })
+                    }),
+                    "{occ:?} at level {q}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn locate_rejects_outside_threshold() {
+        let space = OccupancySpace::new(3, 2).unwrap();
+        let bad = tuple(&[5, 1, 1]); // diff 4 > 2
+        assert_eq!(state_to_occupancy(&bad, 2), None);
+        let wide = state_to_occupancy(&bad, 4).unwrap();
+        assert_eq!(space.locate(&wide), None);
+        // Counts summing to 2 servers, not N = 3.
+        assert_eq!(space.locate(&[1, 1, 1, 0]), None);
+    }
+
+    #[test]
+    fn level_shift_preserves_index_order() {
+        // The base ↦ base + 1 bijection must keep the canonical order, so
+        // block q + 1 is block q re-based index for index.
+        let space = OccupancySpace::new(4, 3).unwrap();
+        let shifted: Vec<Vec<u32>> = (0..space.block_len())
+            .map(|i| {
+                let mut occ = space.block0_state(i).to_vec();
+                occ[0] += 1;
+                occ
+            })
+            .collect();
+        for pair in shifted.windows(2) {
+            assert_eq!(cmp_occ(&pair[0], &pair[1], 4), Ordering::Less);
+        }
+    }
+
+    #[test]
+    fn invalid_parameters_rejected() {
+        assert!(OccupancySpace::new(1, 2).is_err());
+        assert!(OccupancySpace::new(3, 0).is_err());
+    }
+
+    #[test]
+    fn n3_t2_explicit_block_contents() {
+        // Hand-enumerated B0 for N=3, T=2 (totals in (4, 7]), in the
+        // canonical (total, lexicographic) order.
+        let space = OccupancySpace::new(3, 2).unwrap();
+        let expect: [&[u32]; 6] = [
+            &[2, 2, 1],
+            &[3, 1, 1],
+            &[2, 2, 2],
+            &[3, 2, 1],
+            &[3, 2, 2],
+            &[3, 3, 1],
+        ];
+        assert_eq!(space.block_len(), expect.len());
+        for (i, e) in expect.iter().enumerate() {
+            assert_eq!(occupancy_to_state(space.block0_state(i)).as_slice(), *e);
+        }
+    }
+
+    #[test]
+    fn boundary_count_small_case() {
+        // N=2, T=1: boundary = (0,0), (1,0); block 0 = (1,1), (2,1).
+        let space = OccupancySpace::new(2, 1).unwrap();
+        assert_eq!(space.boundary_len(), 2);
+        assert_eq!(space.block_len(), 2);
+        assert_eq!(occupancy_to_state(space.block0_state(0)), tuple(&[1, 1]));
+        assert_eq!(occupancy_to_state(space.block0_state(1)), tuple(&[2, 1]));
     }
 
     #[test]
@@ -1023,55 +1179,6 @@ mod tests {
         assert_eq!(occ, vec![2, 1, 2, 1]);
         assert_eq!(occupancy_to_state(&occ), s);
         assert_eq!(state_to_occupancy(&s, 1), None);
-    }
-
-    #[test]
-    fn lumped_blocks_equal_dense_blocks() {
-        for &(n, d, lam, t) in &[
-            (3usize, 2usize, 0.7f64, 2u32),
-            (3, 1, 0.6, 2),
-            (4, 4, 0.8, 2), // JSQ
-            (4, 2, 0.85, 3),
-            (5, 3, 0.5, 1),
-        ] {
-            let sqd = Sqd::new(n, d, lam).unwrap();
-            for kind in [BoundKind::Lower, BoundKind::Upper] {
-                let dense = BoundModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
-                let lumped = LumpedModel::new(sqd, kind, t)
-                    .unwrap()
-                    .qbd_blocks()
-                    .unwrap();
-                let pairs = [
-                    ("R00", lumped.r00().to_dense(), dense.r00()),
-                    ("R01", lumped.r01().to_dense(), dense.r01()),
-                    ("R10", lumped.r10().to_dense(), dense.r10()),
-                    ("A0", lumped.a0().to_dense(), dense.a0()),
-                    ("A1", lumped.a1().to_dense(), dense.a1()),
-                    ("A2", lumped.a2().to_dense(), dense.a2()),
-                ];
-                for (name, sparse, dense) in pairs {
-                    assert!(
-                        sparse.approx_eq(dense, 1e-12),
-                        "N={n} d={d} λ={lam} T={t} {kind:?}: {name} differs"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn with_replacement_blocks_equal_dense() {
-        let sqd = Sqd::new_with_mode(4, 5, 0.7, PollMode::WithReplacement).unwrap();
-        for kind in [BoundKind::Lower, BoundKind::Upper] {
-            let dense = BoundModel::new(sqd, kind, 2).unwrap().qbd_blocks().unwrap();
-            let lumped = LumpedModel::new(sqd, kind, 2)
-                .unwrap()
-                .qbd_blocks()
-                .unwrap();
-            assert!(lumped.a1().to_dense().approx_eq(dense.a1(), 1e-12));
-            assert!(lumped.a0().to_dense().approx_eq(dense.a0(), 1e-12));
-            assert!(lumped.a2().to_dense().approx_eq(dense.a2(), 1e-12));
-        }
     }
 
     #[test]

@@ -172,7 +172,25 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BlockSpace;
+    use crate::occupancy::occupancy_to_state;
+    use crate::OccupancySpace;
+
+    /// The boundary and the first `levels` repeating blocks of `(N, T)`,
+    /// expanded to sorted tuples.
+    fn states(n: usize, t: u32, levels: u32) -> Vec<State> {
+        let space = OccupancySpace::new(n, t).unwrap();
+        let mut out: Vec<State> = (0..space.boundary_len())
+            .map(|i| occupancy_to_state(space.boundary_state(i)))
+            .collect();
+        for q in 0..levels {
+            for i in 0..space.block_len() {
+                let mut occ = space.block0_state(i).to_vec();
+                occ[0] += q;
+                out.push(occupancy_to_state(&occ));
+            }
+        }
+        out
+    }
 
     fn s(v: &[u32]) -> State {
         State::new(v.to_vec()).unwrap()
@@ -211,14 +229,7 @@ mod tests {
     fn redirects_sound_on_paper_configurations() {
         // Every (N, T) pair used in Fig. 10 of the paper, d = 2.
         for &(n, t) in &[(3usize, 2u32), (3, 3), (6, 3)] {
-            let space = BlockSpace::new(n, t).unwrap();
-            let states: Vec<State> = space
-                .boundary()
-                .iter()
-                .map(|(_, st)| st.clone())
-                .chain(space.block0().iter().map(|(_, st)| st.clone()))
-                .chain(space.block0().iter().map(|(_, st)| st.plus_one()))
-                .collect();
+            let states = states(n, t, 2);
             for variant in [
                 ModelVariant::Lower { threshold: t },
                 ModelVariant::Upper { threshold: t },
@@ -231,13 +242,7 @@ mod tests {
 
     #[test]
     fn redirects_sound_for_other_d() {
-        let space = BlockSpace::new(5, 2).unwrap();
-        let states: Vec<State> = space
-            .boundary()
-            .iter()
-            .map(|(_, st)| st.clone())
-            .chain(space.block0().iter().map(|(_, st)| st.clone()))
-            .collect();
+        let states = states(5, 2, 1);
         for d in 1..=5 {
             for variant in [
                 ModelVariant::Lower { threshold: 2 },

@@ -1,9 +1,15 @@
 //! Property-based tests for the SQ(d) model layer.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
+use slb_core::occupancy::{
+    for_each_transition, occupancy_to_state, state_to_occupancy, TransitionScratch,
+};
 use slb_core::precedence::{precedes, verify_redirects};
 use slb_core::{
-    transitions, BlockSpace, BoundKind, BoundModel, LumpedModel, ModelVariant, Sqd, State,
+    transitions, transitions_with_mode, BoundKind, LumpedModel, ModelVariant, OccupancySpace,
+    PollMode, Sqd, State,
 };
 
 /// Random sorted state with bounded entries.
@@ -147,19 +153,28 @@ proptest! {
         nt in (3usize..6).prop_flat_map(|n| (Just(n), 1u32..4)),
     ) {
         let (n, t) = nt;
-        let space = BlockSpace::new(n, t).unwrap();
-        // Every state of S_T with total ≤ cap + 3N is located exactly once
-        // and consistently with its total.
-        for (_, s) in space.boundary().iter() {
-            prop_assert!(s.total() <= space.boundary_cap());
+        let space = OccupancySpace::new(n, t).unwrap();
+        let cap = space.boundary_cap();
+        // Every boundary state has total ≤ cap; every block-q state
+        // (template shifted up q levels) has its total in block q's range
+        // and locates back to (q, its template index).
+        for i in 0..space.boundary_len() {
+            prop_assert!(space.total(space.boundary_state(i)) <= cap);
         }
-        for q in 0..3 {
+        for q in 0..3u32 {
             for i in 0..space.block_len() {
-                let s = space.level_state(q, i);
-                let within =
-                    s.total() > space.boundary_cap() + q as u32 * n as u32
-                    && s.total() <= space.boundary_cap() + (q as u32 + 1) * n as u32;
-                prop_assert!(within, "state {s} mislocated in block {q}");
+                let mut occ = space.block0_state(i).to_vec();
+                occ[0] += q;
+                let total = space.total(&occ);
+                let (lo, n64) = (cap + u64::from(q) * n as u64, n as u64);
+                prop_assert!(
+                    total > lo && total <= lo + n64,
+                    "state {:?} mislocated in block {}", occ, q
+                );
+                prop_assert_eq!(
+                    space.locate(&occ),
+                    Some(slb_core::OccLocation::Level { q: q as usize, index: i })
+                );
             }
         }
     }
@@ -179,58 +194,93 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn lumped_blocks_are_a_true_lumping_of_dense(
-        cfg in (2usize..6, 1u32..4).prop_flat_map(|(n, t)| {
-            (Just(n), Just(t), 1usize..=n, 0.1f64..0.95)
+    fn occupancy_generator_matches_tuple_oracle(
+        cfg in (2usize..8, 1u32..5, 0u8..2, 0u8..2).prop_flat_map(|(n, t, m, k)| {
+            let mode = if m == 0 { PollMode::WithoutReplacement } else { PollMode::WithReplacement };
+            let kind = if k == 0 { BoundKind::Lower } else { BoundKind::Upper };
+            let d_max = if m == 0 { n } else { n + 2 };
+            (Just((n, t, mode, kind)), 1usize..=d_max, 0.05f64..0.95)
         }),
     ) {
-        // The dense solver already works on sorted server tuples
-        // (multisets), so an exact lumping means: same block
-        // dimensions, entrywise-equal generator blocks under the
-        // canonical order, and conservative rows.
-        let (n, t, d, lambda) = cfg;
-        let sqd = Sqd::new(n, d, lambda).unwrap();
-        for kind in [BoundKind::Lower, BoundKind::Upper] {
-            let dense = BoundModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
-            let lumped = LumpedModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
-            prop_assert_eq!(lumped.boundary_len(), dense.boundary_len());
-            prop_assert_eq!(lumped.level_len(), dense.level_len());
-            prop_assert_eq!(lumped.level_len(), binomial(n, t));
-            for (name, sparse, full) in [
-                ("R00", lumped.r00(), dense.r00()),
-                ("R01", lumped.r01(), dense.r01()),
-                ("R10", lumped.r10(), dense.r10()),
-                ("A0", lumped.a0(), dense.a0()),
-                ("A1", lumped.a1(), dense.a1()),
-                ("A2", lumped.a2(), dense.a2()),
-            ] {
-                prop_assert!(
-                    sparse.to_dense().approx_eq(full, 1e-12),
-                    "N={} d={} λ={} T={} {:?}: {} differs", n, d, lambda, t, kind, name
-                );
+        // The one generator of the bound models against the unlumped
+        // tuple generator: on every macro-state of the boundary, the
+        // template block and the block one level up, the merged
+        // (target, rate) sets agree, and the expanded states run in
+        // strictly increasing (total, lexicographic) order.
+        let ((n, t, mode, kind), d, lambda) = cfg;
+        let variant = match kind {
+            BoundKind::Lower => ModelVariant::Lower { threshold: t },
+            BoundKind::Upper => ModelVariant::Upper { threshold: t },
+        };
+        let space = OccupancySpace::new(n, t).unwrap();
+        let one_up = |i| {
+            let mut occ = space.block0_state(i).to_vec();
+            occ[0] += 1;
+            occ
+        };
+        let blocks: [Vec<Vec<u32>>; 3] = [
+            (0..space.boundary_len()).map(|i| space.boundary_state(i).to_vec()).collect(),
+            (0..space.block_len()).map(|i| space.block0_state(i).to_vec()).collect(),
+            (0..space.block_len()).map(one_up).collect(),
+        ];
+        let merge = |pairs: Vec<(Vec<u32>, f64)>| {
+            let mut merged: BTreeMap<Vec<u32>, f64> = BTreeMap::new();
+            for (target, rate) in pairs {
+                *merged.entry(target).or_insert(0.0) += rate;
             }
-            // Generator rows are conservative: boundary rows across
-            // R00|R01, level-0 rows across R10|A1|A0, repeating rows
-            // across A2|A1|A0 all sum to zero.
-            let zero_rows = |blocks: &[&slb_linalg::CsrMatrix]| {
-                let mut sums = vec![0.0f64; blocks[0].rows()];
-                for b in blocks {
-                    for (i, s) in b.row_sums().iter().enumerate() {
-                        sums[i] += s;
-                    }
+            merged
+        };
+        let mut scratch = TransitionScratch::new(space.stride());
+        for block in &blocks {
+            let expanded: Vec<State> = block.iter().map(|occ| occupancy_to_state(occ)).collect();
+            for pair in expanded.windows(2) {
+                let key = |s: &State| (s.total(), s.clone());
+                prop_assert!(key(&pair[0]) < key(&pair[1]), "{} !< {}", pair[0], pair[1]);
+            }
+            for (occ, s) in block.iter().zip(&expanded) {
+                let mut emitted = Vec::new();
+                for_each_transition(occ, n, d, lambda, kind, mode, &mut scratch, |tgt, rate| {
+                    emitted.push((tgt.to_vec(), rate));
+                });
+                let oracle: Vec<(Vec<u32>, f64)> =
+                    transitions_with_mode(s, d, lambda, variant, mode)
+                        .into_iter()
+                        .map(|tr| (state_to_occupancy(&tr.target, t).unwrap(), tr.rate))
+                        .collect();
+                let (ours, theirs) = (merge(emitted), merge(oracle));
+                prop_assert_eq!(
+                    ours.keys().collect::<Vec<_>>(),
+                    theirs.keys().collect::<Vec<_>>(),
+                    "targets of {}", s
+                );
+                for (target, rate) in &ours {
+                    prop_assert!(
+                        (rate - theirs[target]).abs() <= 1e-12,
+                        "{} -> {:?}: {} vs {}", s, target, rate, theirs[target]
+                    );
                 }
-                sums.into_iter().all(|s| s.abs() < 1e-10)
-            };
-            prop_assert!(zero_rows(&[lumped.r00(), lumped.r01()]), "boundary rows");
-            prop_assert!(
-                zero_rows(&[lumped.r10(), lumped.a1(), lumped.a0()]),
-                "level-0 rows"
-            );
-            prop_assert!(
-                zero_rows(&[lumped.a2(), lumped.a1(), lumped.a0()]),
-                "repeating rows"
-            );
+            }
         }
+
+        // The assembled blocks have the paper's dimensions and
+        // conservative rows: boundary rows across R00|R01, level-0 rows
+        // across R10|A1|A0, repeating rows across A2|A1|A0 all sum to 0.
+        let sqd = Sqd::new_with_mode(n, d, lambda, mode).unwrap();
+        let lumped = LumpedModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
+        prop_assert_eq!(lumped.boundary_len(), space.boundary_len());
+        prop_assert_eq!(lumped.level_len(), binomial(n, t));
+        let zero_rows = |blocks: &[&slb_linalg::CsrMatrix]| {
+            let mut sums = vec![0.0f64; blocks[0].rows()];
+            for b in blocks {
+                for (i, s) in b.row_sums().iter().enumerate() {
+                    sums[i] += s;
+                }
+            }
+            sums.into_iter().all(|s| s.abs() < 1e-10)
+        };
+        prop_assert!(zero_rows(&[lumped.r00(), lumped.r01()]), "boundary rows");
+        prop_assert!(zero_rows(&[lumped.r10(), lumped.a1(), lumped.a0()]), "level-0 rows");
+        prop_assert!(zero_rows(&[lumped.a2(), lumped.a1(), lumped.a0()]), "repeating rows");
     }
 }
 

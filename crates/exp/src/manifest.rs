@@ -105,7 +105,7 @@ impl RunManifest {
     }
 
     /// Records job `index` as completed-and-published, checkpointing to
-    /// disk every [`FLUSH_EVERY`] completions (and on the final one).
+    /// disk every `FLUSH_EVERY` (16) completions (and on the final one).
     pub fn complete(&self, index: usize) {
         let snapshot = {
             let mut state = self.state.lock().expect("manifest lock");

@@ -326,14 +326,17 @@ impl Query {
     }
 }
 
+/// The `policy` field, defaulting to `sqd`; an unknown name is a
+/// decode error (answered 400), not a failure of the solve.
 fn get_policy(doc: &Json) -> Result<String, String> {
-    match doc.get("policy") {
-        None => Ok("sqd".to_string()),
+    let name = match doc.get("policy") {
+        None => return Ok("sqd".to_string()),
         Some(v) => v
             .as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "field 'policy' must be a string".to_string()),
-    }
+            .ok_or_else(|| "field 'policy' must be a string".to_string())?,
+    };
+    crate::runner::check_policy(name)?;
+    Ok(name.to_string())
 }
 
 fn get_num(doc: &Json, key: &str) -> Result<Option<f64>, String> {
@@ -841,6 +844,14 @@ mod tests {
             (
                 r#"{"kind":"service","n":3,"d":2,"rho":0.5,"jobs":1.5}"#,
                 "integer",
+            ),
+            (
+                r#"{"kind":"service","policy":"interrupted","n":3,"d":2,"rho":0.5}"#,
+                "unknown policy",
+            ),
+            (
+                r#"{"kind":"capacity","policy":"rr","lambda":10,"slo":3}"#,
+                "unknown policy",
             ),
         ] {
             let err = Query::from_json(&Json::parse(body).unwrap()).unwrap_err();

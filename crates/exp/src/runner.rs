@@ -693,17 +693,26 @@ fn lumped_sandwich(
     Ok((lower, upper))
 }
 
+/// Checks a scaling/service policy name against the policies
+/// [`scaling_policy`] resolves.
+pub(crate) fn check_policy(name: &str) -> Result<(), String> {
+    match name {
+        "sqd" | "jsq" => Ok(()),
+        other => Err(format!("unknown policy '{other}' (expected sqd or jsq)")),
+    }
+}
+
 /// Resolves the scaling/service policy name; `Ok(None)` marks an
 /// infeasible point (`d > N` under SQ(d)) that the sweep skips, as the
 /// asymptotic-error family does, instead of silently clamping `d`
 /// while the row still prints the unclamped value.
 fn scaling_policy(name: &str, d: usize, n: usize) -> Result<Option<Policy>, String> {
-    match name {
-        "sqd" if d > n => Ok(None),
-        "sqd" => Ok(Some(Policy::SqD { d })),
-        "jsq" => Ok(Some(Policy::Jsq)),
-        other => Err(format!("unknown policy '{other}' (expected sqd or jsq)")),
-    }
+    check_policy(name)?;
+    Ok(match name {
+        "sqd" if d > n => None,
+        "sqd" => Some(Policy::SqD { d }),
+        _ => Some(Policy::Jsq),
+    })
 }
 
 /// The O(1)-to-evaluate mean-delay sandwich valid at any `N`: the

@@ -1,7 +1,8 @@
 //! The MAP-modulated SQ(d) bound models: the paper's methodology with the
 //! Poisson assumption removed.
 
-use slb_core::{BlockSpace, ModelVariant, PollMode};
+use slb_core::occupancy::occupancy_to_state;
+use slb_core::{BoundKind, ModelVariant, OccupancySpace, PollMode};
 use slb_linalg::{power_iteration_sparse, CsrMatrix};
 use slb_markov::Map;
 use slb_qbd::{QbdBlocks, SolveOptions, Tail};
@@ -167,7 +168,7 @@ impl MapSqd {
     /// Propagates state-space and solver failures; the lower model is
     /// stable whenever `ρ < 1`.
     pub fn lower_bound(&self, t: u32) -> Result<MapBoundResult> {
-        self.solve(ModelVariant::Lower { threshold: t }, t)
+        self.solve(BoundKind::Lower, t)
     }
 
     /// Upper bound on the mean delay with threshold `T`.
@@ -177,7 +178,7 @@ impl MapSqd {
     /// [`MapphError::UpperBoundUnstable`] when blocking reduces capacity
     /// below the offered load at this `(ρ, T)` — raise `T` in that case.
     pub fn upper_bound(&self, t: u32) -> Result<MapBoundResult> {
-        self.solve(ModelVariant::Upper { threshold: t }, t)
+        self.solve(BoundKind::Upper, t)
     }
 
     /// The product-space QBD blocks of either bound variant (public for
@@ -186,9 +187,9 @@ impl MapSqd {
     /// # Errors
     ///
     /// Propagates state-space construction and validation failures.
-    pub fn qbd_blocks(&self, variant: ModelVariant, t: u32) -> Result<QbdBlocks> {
-        let space = BlockSpace::new(self.n, t)?;
-        blocks::assemble(&space, &self.map, self.d, variant, self.poll_mode)
+    pub fn qbd_blocks(&self, kind: BoundKind, t: u32) -> Result<QbdBlocks> {
+        let space = OccupancySpace::new(self.n, t)?;
+        blocks::assemble(&space, &self.map, self.d, kind, self.poll_mode)
     }
 
     /// The delay-distribution companion of the mean bounds under MAP
@@ -206,17 +207,13 @@ impl MapSqd {
     /// As the corresponding bound solve.
     pub fn delay_distribution(
         &self,
-        kind: slb_core::BoundKind,
+        kind: BoundKind,
         t: u32,
     ) -> Result<slb_core::DelayDistribution> {
         use slb_core::delay_dist::arrival_level_weights;
 
-        let variant = match kind {
-            slb_core::BoundKind::Lower => ModelVariant::Lower { threshold: t },
-            slb_core::BoundKind::Upper => ModelVariant::Upper { threshold: t },
-        };
-        let space = BlockSpace::new(self.n, t)?;
-        let qbd = blocks::assemble(&space, &self.map, self.d, variant, self.poll_mode)?;
+        let space = OccupancySpace::new(self.n, t)?;
+        let qbd = blocks::assemble(&space, &self.map, self.d, kind, self.poll_mode)?;
         let sol = qbd.solve(&SolveOptions::default())?;
 
         let p = self.map.phases();
@@ -234,8 +231,12 @@ impl MapSqd {
 
         // As in slb-core, the kernel uses the *base* policy; the bias
         // d1row(h)/λ converts time-stationary mass into what arrivals see.
-        for (i, s) in space.boundary().iter() {
-            let kernel = arrival_level_weights(s, self.d, ModelVariant::Base, self.poll_mode);
+        let kernel = |occ: &[u32]| {
+            let s = occupancy_to_state(occ);
+            arrival_level_weights(&s, self.d, ModelVariant::Base, self.poll_mode)
+        };
+        for i in 0..space.boundary_len() {
+            let kernel = kernel(space.boundary_state(i));
             for (h, bias) in d1_row.iter().enumerate() {
                 let mass = sol.boundary()[i * p + h] * bias / self.rate;
                 if mass <= 0.0 {
@@ -246,10 +247,8 @@ impl MapSqd {
                 }
             }
         }
-        let kernels: Vec<Vec<(u32, f64)>> = space
-            .block0()
-            .iter()
-            .map(|(_, s)| arrival_level_weights(s, self.d, ModelVariant::Base, self.poll_mode))
+        let kernels: Vec<Vec<(u32, f64)>> = (0..space.block_len())
+            .map(|j| kernel(space.block0_state(j)))
             .collect();
         sol.for_each_level(1e-12, |q, pi_q| {
             for (j, kernel) in kernels.iter().enumerate() {
@@ -283,16 +282,10 @@ impl MapSqd {
     /// Panics unless `0 < tol < 1`.
     pub fn upper_bound_saturation(&self, t: u32, tol: f64) -> Result<f64> {
         assert!(tol > 0.0 && tol < 1.0, "tolerance must be in (0, 1)");
-        let space = BlockSpace::new(self.n, t)?;
+        let space = OccupancySpace::new(self.n, t)?;
         let stable_at = |rho: f64| -> Result<bool> {
             let map = self.map.with_rate(rho * self.n as f64)?;
-            let qbd = blocks::assemble(
-                &space,
-                &map,
-                self.d,
-                ModelVariant::Upper { threshold: t },
-                self.poll_mode,
-            )?;
+            let qbd = blocks::assemble(&space, &map, self.d, BoundKind::Upper, self.poll_mode)?;
             Ok(qbd.is_stable()?)
         };
         let (mut lo, mut hi) = (1e-6, 1.0 - 1e-9);
@@ -310,22 +303,22 @@ impl MapSqd {
         Ok(lo)
     }
 
-    fn solve(&self, variant: ModelVariant, t: u32) -> Result<MapBoundResult> {
-        let space = BlockSpace::new(self.n, t)?;
-        let qbd = blocks::assemble(&space, &self.map, self.d, variant, self.poll_mode)?;
+    fn solve(&self, kind: BoundKind, t: u32) -> Result<MapBoundResult> {
+        let space = OccupancySpace::new(self.n, t)?;
+        let qbd = blocks::assemble(&space, &self.map, self.d, kind, self.poll_mode)?;
         let sol = qbd.solve(&SolveOptions::default())?;
 
+        // Waiting jobs are phase-blind: each macro-state's cost repeats
+        // over its `p` phases.
         let p = self.map.phases();
-        let cb: Vec<f64> = space
-            .boundary()
-            .iter()
-            .flat_map(|(_, s)| std::iter::repeat_n(f64::from(s.waiting()), p))
-            .collect();
-        let c0: Vec<f64> = space
-            .block0()
-            .iter()
-            .flat_map(|(_, s)| std::iter::repeat_n(f64::from(s.waiting()), p))
-            .collect();
+        let per_phase = |costs: Vec<f64>| -> Vec<f64> {
+            costs
+                .into_iter()
+                .flat_map(|c| std::iter::repeat_n(c, p))
+                .collect()
+        };
+        let (cb, c0) = space.waiting_costs();
+        let (cb, c0) = (per_phase(cb), per_phase(c0));
         let growth = vec![self.n as f64; space.block_len() * p];
         let waiting = sol.mean_linear_cost(&cb, &c0, &growth);
 
@@ -343,7 +336,7 @@ impl MapSqd {
             waiting_jobs: waiting,
             residual: sol.residual(),
             g_iterations: sol.g_iterations(),
-            boundary_states: space.boundary().len() * p,
+            boundary_states: space.boundary_len() * p,
             level_states: space.block_len() * p,
             tail_decay,
         })

@@ -111,41 +111,6 @@ pub fn gth_stationary(q: &Matrix) -> Result<Vec<f64>> {
     Ok(pi)
 }
 
-/// [`gth_stationary`] for a generator assembled in CSR form.
-///
-/// GTH elimination inherently fills in, so the matrix is densified first;
-/// use this for *small* chains (QBD boundary systems, phase processes)
-/// that happen to be assembled through the shared sparse builder. Large
-/// truncated chains should use the iterative
-/// [`crate::stationary_power_csr`] / [`crate::stationary_jacobi_csr`]
-/// instead, which stay `O(nnz)` per sweep.
-///
-/// # Errors
-///
-/// As [`gth_stationary`].
-///
-/// # Example
-///
-/// ```
-/// use slb_linalg::CsrMatrix;
-/// use slb_markov::gth_stationary_csr;
-///
-/// # fn main() -> Result<(), slb_markov::MarkovError> {
-/// let q = CsrMatrix::from_triplets(
-///     2,
-///     2,
-///     [(0, 0, -1.0), (0, 1, 1.0), (1, 0, 2.0), (1, 1, -2.0)],
-/// )
-/// .map_err(|e| slb_markov::MarkovError::InvalidChain { reason: e.to_string() })?;
-/// let pi = gth_stationary_csr(&q)?;
-/// assert!((pi[0] - 2.0 / 3.0).abs() < 1e-14);
-/// # Ok(())
-/// # }
-/// ```
-pub fn gth_stationary_csr(q: &slb_linalg::CsrMatrix) -> Result<Vec<f64>> {
-    gth_stationary(&q.to_dense())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

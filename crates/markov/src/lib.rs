@@ -58,7 +58,7 @@ mod sparse;
 pub use ctmc::Ctmc;
 pub use dtmc::Dtmc;
 pub use error::MarkovError;
-pub use gth::{gth_stationary, gth_stationary_csr};
+pub use gth::gth_stationary;
 pub use map::Map;
 pub use phase_type::PhaseType;
 pub use sparse::{generator_residual, stationary_jacobi_csr, stationary_power_csr, SparseCtmc};

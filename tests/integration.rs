@@ -3,8 +3,9 @@
 //! `slb-sim`.
 
 use slb::core::brute::BruteForce;
+use slb::core::occupancy::occupancy_to_state;
 use slb::core::precedence::verify_redirects;
-use slb::core::{BlockSpace, ModelVariant, State};
+use slb::core::{ModelVariant, OccupancySpace, State};
 use slb::qbd::{SolveOptions, Tail};
 use slb::{BoundKind, BoundModel, Policy, SimConfig, Sqd};
 
@@ -248,13 +249,18 @@ fn more_choices_less_delay() {
 #[test]
 fn redirects_sound_across_evaluation_grid() {
     for (n, t) in [(3usize, 2u32), (3, 3), (6, 3)] {
-        let space = BlockSpace::new(n, t).unwrap();
-        let states: Vec<State> = space
-            .boundary()
-            .iter()
-            .map(|(_, s)| s.clone())
-            .chain(space.block0().iter().map(|(_, s)| s.clone()))
-            .chain(space.block0().iter().map(|(_, s)| s.plus_one()))
+        let space = OccupancySpace::new(n, t).unwrap();
+        let template = |i| space.block0_state(i).to_vec();
+        let one_up = |i| {
+            let mut occ = template(i);
+            occ[0] += 1;
+            occ
+        };
+        let states: Vec<State> = (0..space.boundary_len())
+            .map(|i| space.boundary_state(i).to_vec())
+            .chain((0..space.block_len()).map(template))
+            .chain((0..space.block_len()).map(one_up))
+            .map(|occ| occupancy_to_state(&occ))
             .collect();
         for d in [1usize, 2, n] {
             for variant in [
@@ -306,55 +312,73 @@ fn mmpp_m1_simulation_matches_qbd() {
     assert!(exact > 1.0 / (1.0 - lam));
 }
 
-/// Level-independence (Lemma 1): the `(A2, A1, A0)` blocks extracted from
-/// level 1 and from level 2 coincide, so the QBD representation is exact.
+/// Level-independence (Lemma 1): the `(A2, A1, A0)` blocks read off the
+/// occupancy generator at repeating levels 0–3 coincide with each other
+/// and with the assembled QBD blocks, so the QBD representation is exact.
 #[test]
 fn qbd_regularity_between_deeper_levels() {
-    use slb::core::BlockLocation;
+    use slb::core::occupancy::{for_each_transition, TransitionScratch};
+    use slb::core::{OccLocation, PollMode};
     use slb::linalg::Matrix;
 
-    let sqd = Sqd::new(3, 2, 0.8).unwrap();
-    for kind in [BoundKind::Lower, BoundKind::Upper] {
-        let model = BoundModel::new(sqd, kind, 2).unwrap();
-        let space = model.space();
-        let m = space.block_len();
-        // For source level q ≥ 1, classify each transition target by its
-        // level relative to the source and record the rate at the target's
-        // within-block index.
-        let block_matrices = |q_from: usize| -> (Matrix, Matrix, Matrix) {
-            let mut down = Matrix::zeros(m, m);
-            let mut stay = Matrix::zeros(m, m);
-            let mut up = Matrix::zeros(m, m);
-            for (i, _) in space.block0().iter() {
-                let s = space.level_state(q_from, i);
-                for tr in slb::core::transitions(&s, 2, 0.8, model.variant()) {
-                    let (q_to, j) = match space.locate(&tr.target) {
-                        Some(BlockLocation::Level { q, index }) => (q as i64, index),
-                        other => panic!("target {} located at {other:?}", tr.target),
-                    };
-                    match q_to - q_from as i64 {
-                        -1 => down[(i, j)] += tr.rate,
-                        0 => stay[(i, j)] += tr.rate,
-                        1 => up[(i, j)] += tr.rate,
-                        other => panic!("level jump {other}"),
-                    }
+    for (n, d, lam, t, mode) in [
+        (3usize, 2usize, 0.8f64, 2u32, PollMode::WithoutReplacement),
+        (4, 2, 0.7, 3, PollMode::WithoutReplacement),
+        (5, 5, 0.6, 2, PollMode::WithoutReplacement),
+        (4, 5, 0.7, 2, PollMode::WithReplacement),
+    ] {
+        let sqd = Sqd::new_with_mode(n, d, lam, mode).unwrap();
+        for kind in [BoundKind::Lower, BoundKind::Upper] {
+            let model = BoundModel::new(sqd, kind, t).unwrap();
+            let blocks = model.qbd_blocks().unwrap();
+            let space = model.space();
+            let m = space.block_len();
+            let mut scratch = TransitionScratch::new(space.stride());
+            // For source level q, classify each transition target by its
+            // level relative to the source and record the rate at the
+            // target's within-block index; the diagonal carries −outflow.
+            let mut block_matrices = |q_from: usize| -> (Matrix, Matrix, Matrix) {
+                let mut down = Matrix::zeros(m, m);
+                let mut stay = Matrix::zeros(m, m);
+                let mut up = Matrix::zeros(m, m);
+                for i in 0..m {
+                    let mut occ = space.block0_state(i).to_vec();
+                    occ[0] += q_from as u32;
+                    let mut outflow = 0.0;
+                    for_each_transition(&occ, n, d, lam, kind, mode, &mut scratch, |tgt, rate| {
+                        outflow += rate;
+                        let (q_to, j) = match space.locate(tgt) {
+                            Some(OccLocation::Level { q, index }) => (q as i64, index),
+                            // Level 0 drains into the boundary (R10).
+                            Some(OccLocation::Boundary(_)) if q_from == 0 => return,
+                            other => panic!("target {tgt:?} located at {other:?}"),
+                        };
+                        match q_to - q_from as i64 {
+                            -1 => down[(i, j)] += rate,
+                            0 => stay[(i, j)] += rate,
+                            1 => up[(i, j)] += rate,
+                            other => panic!("level jump {other}"),
+                        }
+                    });
+                    stay[(i, i)] -= outflow;
+                }
+                (down, stay, up)
+            };
+            let label = format!("N={n} d={d} T={t} {mode:?} {kind:?}");
+            for q in 0..4 {
+                let (down, stay, up) = block_matrices(q);
+                assert!(
+                    stay.approx_eq(blocks.a1(), 1e-12),
+                    "{label}: A1 at level {q}"
+                );
+                assert!(up.approx_eq(blocks.a0(), 1e-12), "{label}: A0 at level {q}");
+                if q >= 1 {
+                    assert!(
+                        down.approx_eq(blocks.a2(), 1e-12),
+                        "{label}: A2 at level {q}"
+                    );
                 }
             }
-            (down, stay, up)
-        };
-        let (d1, s1, u1) = block_matrices(1);
-        let (d2, s2, u2) = block_matrices(2);
-        assert!(
-            d1.approx_eq(&d2, 1e-9),
-            "{kind:?}: A2 differs between levels"
-        );
-        assert!(
-            s1.approx_eq(&s2, 1e-9),
-            "{kind:?}: A1 differs between levels"
-        );
-        assert!(
-            u1.approx_eq(&u2, 1e-9),
-            "{kind:?}: A0 differs between levels"
-        );
+        }
     }
 }
