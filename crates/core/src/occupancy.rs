@@ -1014,11 +1014,199 @@ impl Sqd {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use slb_linalg::Matrix;
+
     use super::*;
-    use crate::BoundModel;
+    use crate::{transitions_with_mode, BoundModel, ModelVariant};
 
     fn tuple(v: &[u32]) -> State {
         State::new(v.to_vec()).unwrap()
+    }
+
+    /// The dense tuple space, enumerated from the definition of `S_T`
+    /// with no occupancy vectors involved: every sorted tuple `base +
+    /// shape` (shape non-increasing in `0..=T`, ending in 0) with total
+    /// at most `(N−1)T + levels·N`, in canonical (total, lexicographic)
+    /// order, cut into the boundary and `levels` blocks of `N` totals.
+    fn dense_space(n: usize, t: u32, levels: usize) -> (Vec<State>, Vec<Vec<State>>) {
+        fn shapes(len: usize, max: u32, prefix: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+            if prefix.len() == len {
+                out.push(prefix.clone());
+                return;
+            }
+            for x in 0..=max {
+                prefix.push(x);
+                shapes(len, x, prefix, out);
+                prefix.pop();
+            }
+        }
+        let mut all_shapes = Vec::new();
+        shapes(n - 1, t, &mut Vec::new(), &mut all_shapes);
+        let (n32, cap) = (n as u32, (n as u32 - 1) * t);
+        let top = cap + levels as u32 * n32;
+        let mut states = Vec::new();
+        for base in 0..=top / n32 {
+            for shape in &all_shapes {
+                let mut v: Vec<u32> = shape.iter().map(|x| x + base).collect();
+                v.push(base);
+                let s = tuple(&v);
+                if s.total() <= top {
+                    states.push(s);
+                }
+            }
+        }
+        states.sort_by(|a, b| (a.total(), a).cmp(&(b.total(), b)));
+        let within = |lo: u32, hi: u32| -> Vec<State> {
+            states
+                .iter()
+                .filter(|s| s.total() > lo && s.total() <= hi)
+                .cloned()
+                .collect()
+        };
+        let boundary = states
+            .iter()
+            .filter(|s| s.total() <= cap)
+            .cloned()
+            .collect();
+        let blocks = (0..levels as u32)
+            .map(|q| within(cap + q * n32, cap + (q + 1) * n32))
+            .collect();
+        (boundary, blocks)
+    }
+
+    /// The six generator blocks `[R00, R01, R10, A0, A1, A2]` assembled
+    /// on [`dense_space`] from the tuple generator
+    /// [`transitions_with_mode`]: the reference the lumped blocks must
+    /// reproduce entry for entry under the canonical order.
+    fn dense_blocks(sqd: Sqd, kind: BoundKind, t: u32) -> [Matrix; 6] {
+        let variant = match kind {
+            BoundKind::Lower => ModelVariant::Lower { threshold: t },
+            BoundKind::Upper => ModelVariant::Upper { threshold: t },
+        };
+        let (boundary, blocks) = dense_space(sqd.n(), t, 3);
+        let mut at = HashMap::new();
+        for (i, s) in boundary.iter().enumerate() {
+            at.insert(s.clone(), (0usize, i));
+        }
+        for (q, block) in blocks.iter().enumerate() {
+            for (i, s) in block.iter().enumerate() {
+                at.insert(s.clone(), (q + 1, i));
+            }
+        }
+        let (nb, m) = (boundary.len(), blocks[0].len());
+        let [mut r00, mut r01, mut r10, mut a0, mut a1, mut a2] =
+            [(nb, nb), (nb, m), (m, nb), (m, m), (m, m), (m, m)].map(|(r, c)| Matrix::zeros(r, c));
+        for (row, states) in [&boundary, &blocks[0], &blocks[1]].into_iter().enumerate() {
+            for (i, s) in states.iter().enumerate() {
+                let mut outflow = 0.0;
+                for tr in transitions_with_mode(s, sqd.d(), sqd.lambda(), variant, sqd.poll_mode())
+                {
+                    outflow += tr.rate;
+                    let (col, j) = at[&tr.target];
+                    let block = match (row, col) {
+                        (0, 0) => &mut r00,
+                        (0, 1) => &mut r01,
+                        (1, 0) => &mut r10,
+                        (1, 1) => &mut a1,
+                        (1, 2) => &mut a0,
+                        (2, 1) => &mut a2,
+                        // Level 1's own and upward rates repeat level 0's.
+                        (2, 2 | 3) => continue,
+                        other => panic!("{s} -> {} crosses blocks {other:?}", tr.target),
+                    };
+                    block[(i, j)] += tr.rate;
+                }
+                match row {
+                    0 => r00[(i, i)] -= outflow,
+                    1 => a1[(i, i)] -= outflow,
+                    _ => {}
+                }
+            }
+        }
+        [r00, r01, r10, a0, a1, a2]
+    }
+
+    /// Asserts that the lumped blocks equal [`dense_blocks`] entrywise.
+    fn assert_lumped_equals_dense(sqd: Sqd, kind: BoundKind, t: u32) {
+        let lumped = LumpedModel::new(sqd, kind, t)
+            .unwrap()
+            .qbd_blocks()
+            .unwrap();
+        let dense = dense_blocks(sqd, kind, t);
+        let names = ["R00", "R01", "R10", "A0", "A1", "A2"];
+        let sparse = [
+            lumped.r00(),
+            lumped.r01(),
+            lumped.r10(),
+            lumped.a0(),
+            lumped.a1(),
+            lumped.a2(),
+        ];
+        for ((name, sparse), dense) in names.iter().zip(sparse).zip(&dense) {
+            assert!(
+                sparse.to_dense().approx_eq(dense, 1e-12),
+                "{sqd:?} T={t} {kind:?}: {name} differs"
+            );
+        }
+    }
+
+    #[test]
+    fn space_matches_dense_blockspace_in_order() {
+        for &(n, t) in &[(2usize, 1u32), (3, 2), (4, 3), (6, 2), (5, 1)] {
+            let occ = OccupancySpace::new(n, t).unwrap();
+            let (boundary, blocks) = dense_space(n, t, 1);
+            assert_eq!(occ.boundary_len(), boundary.len(), "N={n} T={t}");
+            assert_eq!(occ.block_len(), blocks[0].len(), "N={n} T={t}");
+            for (i, s) in boundary.iter().enumerate() {
+                assert_eq!(&occupancy_to_state(occ.boundary_state(i)), s);
+            }
+            for (i, s) in blocks[0].iter().enumerate() {
+                assert_eq!(&occupancy_to_state(occ.block0_state(i)), s);
+            }
+        }
+    }
+
+    #[test]
+    fn locate_agrees_with_dense() {
+        let occ = OccupancySpace::new(4, 2).unwrap();
+        let (boundary, blocks) = dense_space(4, 2, 3);
+        for (i, s) in boundary.iter().enumerate() {
+            let o = state_to_occupancy(s, 2).unwrap();
+            assert_eq!(occ.locate(&o), Some(OccLocation::Boundary(i)), "{s}");
+        }
+        // The i-th dense state of block q locates to (q, i).
+        for (q, block) in blocks.iter().enumerate() {
+            for (index, s) in block.iter().enumerate() {
+                let o = state_to_occupancy(s, 2).unwrap();
+                assert_eq!(occ.locate(&o), Some(OccLocation::Level { q, index }), "{s}");
+            }
+        }
+    }
+
+    #[test]
+    fn lumped_blocks_equal_dense_blocks() {
+        for &(n, d, lam, t) in &[
+            (3usize, 2usize, 0.7f64, 2u32),
+            (3, 1, 0.6, 2),
+            (4, 4, 0.8, 2), // JSQ
+            (4, 2, 0.85, 3),
+            (5, 3, 0.5, 1),
+        ] {
+            let sqd = Sqd::new(n, d, lam).unwrap();
+            for kind in [BoundKind::Lower, BoundKind::Upper] {
+                assert_lumped_equals_dense(sqd, kind, t);
+            }
+        }
+    }
+
+    #[test]
+    fn with_replacement_blocks_equal_dense() {
+        let sqd = Sqd::new_with_mode(4, 5, 0.7, PollMode::WithReplacement).unwrap();
+        for kind in [BoundKind::Lower, BoundKind::Upper] {
+            assert_lumped_equals_dense(sqd, kind, 2);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the SQ(d) model layer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 use slb_core::occupancy::{
@@ -8,9 +8,10 @@ use slb_core::occupancy::{
 };
 use slb_core::precedence::{precedes, verify_redirects};
 use slb_core::{
-    transitions, transitions_with_mode, BoundKind, LumpedModel, ModelVariant, OccupancySpace,
-    PollMode, Sqd, State,
+    transitions, transitions_with_mode, BoundKind, BoundModel, LumpedModel, ModelVariant,
+    OccupancySpace, PollMode, Sqd, State,
 };
+use slb_linalg::Matrix;
 
 /// Random sorted state with bounded entries.
 fn arb_state(n: usize, max: u32) -> impl Strategy<Value = State> {
@@ -281,6 +282,119 @@ proptest! {
         prop_assert!(zero_rows(&[lumped.r00(), lumped.r01()]), "boundary rows");
         prop_assert!(zero_rows(&[lumped.r10(), lumped.a1(), lumped.a0()]), "level-0 rows");
         prop_assert!(zero_rows(&[lumped.a2(), lumped.a1(), lumped.a0()]), "repeating rows");
+    }
+}
+
+/// The six generator blocks `[R00, R01, R10, A0, A1, A2]` of the bound
+/// model, assembled on the unlumped tuple space: every sorted tuple of
+/// `S_T` in canonical (total, lexicographic) order, enumerated from the
+/// definition, with rates from the tuple generator.
+fn tuple_blocks(sqd: Sqd, kind: BoundKind, t: u32) -> [Matrix; 6] {
+    let variant = match kind {
+        BoundKind::Lower => ModelVariant::Lower { threshold: t },
+        BoundKind::Upper => ModelVariant::Upper { threshold: t },
+    };
+    let n = sqd.n() as u32;
+    let cap = (n - 1) * t;
+    // Shapes: non-increasing, entries in 0..=T, ending in 0.
+    let mut shapes: Vec<Vec<u32>> = vec![vec![]];
+    for _ in 1..n {
+        shapes = shapes
+            .into_iter()
+            .flat_map(|s| {
+                let max = s.last().copied().unwrap_or(t);
+                (0..=max).map(move |x| [s.clone(), vec![x]].concat())
+            })
+            .collect();
+    }
+    // Boundary (tag 0) and blocks 0, 1, 2 (tags 1, 2, 3) of N totals each.
+    let top = cap + 3 * n;
+    let mut states: Vec<State> = (0..=top / n)
+        .flat_map(|base| {
+            shapes.iter().map(move |shape| {
+                State::from_unsorted(shape.iter().map(|x| x + base).chain([base]).collect())
+            })
+        })
+        .filter(|s| s.total() <= top)
+        .collect();
+    states.sort_by(|a, b| (a.total(), a).cmp(&(b.total(), b)));
+    let tag = |s: &State| {
+        if s.total() <= cap {
+            0
+        } else {
+            1 + (s.total() - cap - 1) / n
+        }
+    };
+    let mut at = HashMap::new();
+    let mut counts = [0usize; 4];
+    for s in &states {
+        let g = tag(s) as usize;
+        at.insert(s.clone(), (g, counts[g]));
+        counts[g] += 1;
+    }
+    let (nb, m) = (counts[0], counts[1]);
+    let [mut r00, mut r01, mut r10, mut a0, mut a1, mut a2] =
+        [(nb, nb), (nb, m), (m, nb), (m, m), (m, m), (m, m)].map(|(r, c)| Matrix::zeros(r, c));
+    for s in states.iter().filter(|s| tag(s) < 3) {
+        let (row, i) = at[s];
+        let mut outflow = 0.0;
+        for tr in transitions_with_mode(s, sqd.d(), sqd.lambda(), variant, sqd.poll_mode()) {
+            outflow += tr.rate;
+            let (col, j) = at[&tr.target];
+            let block = match (row, col) {
+                (0, 0) => &mut r00,
+                (0, 1) => &mut r01,
+                (1, 0) => &mut r10,
+                (1, 1) => &mut a1,
+                (1, 2) => &mut a0,
+                (2, 1) => &mut a2,
+                // Level 1's own and upward rates repeat level 0's.
+                (2, 2 | 3) => continue,
+                other => panic!("{s} -> {} crosses blocks {other:?}", tr.target),
+            };
+            block[(i, j)] += tr.rate;
+        }
+        match row {
+            0 => r00[(i, i)] -= outflow,
+            1 => a1[(i, i)] -= outflow,
+            _ => {}
+        }
+    }
+    [r00, r01, r10, a0, a1, a2]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn lumped_blocks_are_a_true_lumping_of_dense(
+        cfg in (2usize..6, 1u32..4).prop_flat_map(|(n, t)| {
+            (Just(n), Just(t), 1usize..=n, 0.1f64..0.95)
+        }),
+    ) {
+        // An exact lumping of the sorted-tuple chain: same block
+        // dimensions and entrywise-equal generator blocks under the
+        // canonical order, for the lumped blocks and for the dense
+        // blocks the bound model hands to the dense solver alike.
+        let (n, t, d, lambda) = cfg;
+        let sqd = Sqd::new(n, d, lambda).unwrap();
+        for kind in [BoundKind::Lower, BoundKind::Upper] {
+            let tuple = tuple_blocks(sqd, kind, t);
+            let lumped = LumpedModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
+            let dense = BoundModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
+            prop_assert_eq!(lumped.boundary_len(), tuple[0].rows());
+            prop_assert_eq!(lumped.level_len(), tuple[4].rows());
+            prop_assert_eq!(lumped.level_len(), binomial(n, t));
+            let names = ["R00", "R01", "R10", "A0", "A1", "A2"];
+            let sparse = [lumped.r00(), lumped.r01(), lumped.r10(), lumped.a0(), lumped.a1(), lumped.a2()];
+            let full = [dense.r00(), dense.r01(), dense.r10(), dense.a0(), dense.a1(), dense.a2()];
+            for (k, want) in tuple.iter().enumerate() {
+                prop_assert!(
+                    sparse[k].to_dense().approx_eq(want, 1e-12) && full[k].approx_eq(want, 1e-12),
+                    "N={} d={} λ={} T={} {:?}: {} differs", n, d, lambda, t, kind, names[k]
+                );
+            }
+        }
     }
 }
 
