@@ -700,7 +700,10 @@ impl LumpedModel {
     /// `R10/A1/A0`, and `A2` is read off the first repeating block one
     /// level up. Level independence (Lemma 1) makes these blocks
     /// describe every deeper level, a fact pinned by the integration
-    /// tests.
+    /// tests. Every macro-state is labelled by its job total
+    /// ([`OccupancySpace::total`]) as the aggregation class of the
+    /// Gauss–Seidel solves; in the canonical order each class is a
+    /// contiguous run of states.
     ///
     /// # Errors
     ///
@@ -807,6 +810,14 @@ impl LumpedModel {
             );
         }
 
+        // Aggregation classes: the job total, which arrivals and
+        // departures change by one (the upper model's redirect by a few),
+        // so the slow drift between totals is what the coarse solves
+        // capture. A level's labels count from the first total above the
+        // boundary.
+        let cap = sp.boundary_cap();
+        let boundary_classes = (0..nb).map(|i| sp.total(sp.boundary_state(i)) as u32);
+        let level_classes = (0..m).map(|i| (sp.total(sp.block0_state(i)) - cap - 1) as u32);
         SparseQbdBlocks::new(
             r00.build(),
             r01.build(),
@@ -815,6 +826,7 @@ impl LumpedModel {
             a1.build(),
             a2.build(),
         )
+        .and_then(|b| b.with_classes(boundary_classes.collect(), level_classes.collect()))
         .map_err(CoreError::from)
     }
 
@@ -1427,6 +1439,77 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn decay_rate_brackets_near_the_stability_boundary() {
+        // The upper model at N = 16, T = 3, ρ = 0.7 has a drift margin of
+        // 0.029: at z = 1 − 1e-9 its Perron root (−3e-11) is below what
+        // power iteration resolves, which used to fail the bracket.
+        let sqd = Sqd::new(16, 2, 0.7).unwrap();
+        let blocks = BoundModel::new(sqd, BoundKind::Upper, 3)
+            .unwrap()
+            .qbd_blocks()
+            .unwrap();
+        let dense = slb_qbd::decay_rate(&blocks, 1e-13, 10_000).unwrap();
+        assert!(
+            (dense - 0.575_351_440_6).abs() < 1e-9,
+            "dense sp(R) {dense}"
+        );
+        let sparse = sqd.decay_rate_lumped(BoundKind::Upper, 3).unwrap();
+        assert!(
+            (sparse - dense).abs() <= 1e-6 * dense,
+            "sparse sp(R) {sparse} vs dense {dense}"
+        );
+    }
+
+    #[test]
+    fn aggregated_solves_stay_within_their_sweep_counts() {
+        // Plain Gauss–Seidel took 169 / 919 sweeps for the truncated
+        // upper system and 2,392 / 285 for the phase chain at these
+        // loads; aggregation over the job totals brings both down.
+        let opts = SparseSolveOptions::default();
+        for rho in [0.05, 0.45] {
+            let sqd = Sqd::new(16, 2, rho).unwrap();
+            let blocks = LumpedModel::new(sqd, BoundKind::Upper, 3)
+                .unwrap()
+                .qbd_blocks()
+                .unwrap();
+            let phase = blocks.phase_solve(&Budget::unlimited()).unwrap();
+            assert!(
+                phase.sweeps <= 500,
+                "ρ={rho}: phase chain {} sweeps",
+                phase.sweeps
+            );
+            let upper = blocks.solve_decay_tail(&opts).unwrap();
+            assert!(
+                upper.sweeps() <= 300,
+                "ρ={rho}: upper {} sweeps",
+                upper.sweeps()
+            );
+        }
+    }
+
+    #[test]
+    fn qbd_blocks_label_states_by_total() {
+        let model = LumpedModel::new(Sqd::new(4, 2, 0.5).unwrap(), BoundKind::Lower, 2).unwrap();
+        let blocks = model.qbd_blocks().unwrap();
+        let (boundary, level) = blocks.classes();
+        let sp = model.space();
+        for (i, &c) in boundary.iter().enumerate() {
+            assert_eq!(u64::from(c), sp.total(sp.boundary_state(i)));
+        }
+        // Level labels count totals from the first one above the boundary.
+        for (i, &c) in level.iter().enumerate() {
+            assert_eq!(
+                u64::from(c),
+                sp.total(sp.block0_state(i)) - sp.boundary_cap() - 1
+            );
+        }
+        // Canonical order keeps every class contiguous.
+        assert!(boundary.windows(2).all(|w| w[0] <= w[1]));
+        assert!(level.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(level.last(), Some(&(sp.n() as u32 - 1)));
     }
 
     #[test]

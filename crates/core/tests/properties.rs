@@ -8,8 +8,8 @@ use slb_core::occupancy::{
 };
 use slb_core::precedence::{precedes, verify_redirects};
 use slb_core::{
-    transitions, transitions_with_mode, BoundKind, BoundModel, LumpedModel, ModelVariant,
-    OccupancySpace, PollMode, Sqd, State,
+    transitions, transitions_with_mode, BoundKind, BoundModel, CoreError, LumpedModel,
+    ModelVariant, OccupancySpace, PollMode, Sqd, State,
 };
 use slb_linalg::Matrix;
 
@@ -423,6 +423,47 @@ proptest! {
             (eta - lambda.powi(n as i32)).abs() < 1e-6,
             "N={} λ={}: decay {} vs ρᴺ {}", n, lambda, eta, lambda.powi(n as i32)
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Both bounds, lumped ≡ dense: wherever the dense solve answers, the
+    /// lumped one answers the same to 1e-8, and the two agree on
+    /// instability of the upper model.
+    #[test]
+    fn lumped_bounds_match_dense_at_random_points(
+        cfg in (2usize..=8, 2u32..=4).prop_flat_map(|(n, t)| {
+            (Just(n), Just(t), 1usize..=n, 0.05f64..0.95)
+        }),
+    ) {
+        let (n, t, d, rho) = cfg;
+        let sqd = Sqd::new(n, d, rho).unwrap();
+        let point = format!("N={n} d={d} ρ={rho} T={t}");
+        let dense = sqd.lower_bound(t).unwrap().delay;
+        let lumped = sqd.lower_bound_lumped(t).unwrap().delay;
+        prop_assert!(
+            (lumped - dense).abs() <= 1e-8 * dense,
+            "lower {}: lumped {} vs dense {}", point, lumped, dense
+        );
+        match sqd.upper_bound(t) {
+            Ok(dense) => {
+                let lumped = sqd.upper_bound_lumped(t).unwrap().delay;
+                prop_assert!(
+                    (lumped - dense.delay).abs() <= 1e-8 * dense.delay,
+                    "upper {}: lumped {} vs dense {}", point, lumped, dense.delay
+                );
+            }
+            Err(CoreError::UpperBoundUnstable { .. }) => {
+                let lumped = sqd.upper_bound_lumped(t);
+                prop_assert!(
+                    matches!(lumped, Err(CoreError::UpperBoundUnstable { .. })),
+                    "upper {}: dense unstable, lumped {:?}", point, lumped
+                );
+            }
+            Err(e) => panic!("upper {point}: dense failed: {e}"),
+        }
     }
 }
 

@@ -1,13 +1,33 @@
-//! Sparse Gauss–Seidel solver for stationary (left null) vectors.
+//! Sparse stationary solver: Gauss–Seidel with iterative
+//! aggregation/disaggregation.
 //!
 //! The lumped QBD path assembles finite balance systems `π M = 0`,
 //! `π · w = 1` whose dimension reaches the hundreds of thousands; a dense
 //! LU factorization is out of the question there. The rows of `M` are
 //! CTMC-like (nonnegative off-diagonal rates, strictly negative diagonal)
-//! which makes the classical Gauss–Seidel splitting semiconvergent, and a
-//! forward sweep in the assembly order — states sorted by total job count
-//! — follows the downward drift of a stable queueing system, so the
-//! iteration contracts at roughly the utilization per sweep.
+//! which makes the classical Gauss–Seidel splitting semiconvergent. Plain
+//! sweeps, however, resolve the *distribution of mass between* distant
+//! groups of states only slowly: a forward sweep moves mass about one
+//! transition per state, so the sweep count follows the chain's mixing
+//! time, not its utilization (the SQ(d) upper model at `N = 16, T = 3`
+//! needs 169 sweeps at `ρ = 0.05` and 919 at `ρ = 0.45`).
+//!
+//! Iterative aggregation/disaggregation (IAD; Takahashi 1975; Stewart,
+//! *Introduction to the Numerical Solution of Markov Chains*, 1994,
+//! ch. 6) fixes exactly that part. The caller partitions the states into
+//! classes ([`GsOptions::classes`]). Every fourth sweep the solver sums
+//! the iterate into classes, builds the coarse `K × K` chain between
+//! them from the current within-class shape, solves it exactly (dense LU, one equation replaced by the normalization, which
+//! also covers balance systems that are not generators), and rescales
+//! each class to its coarse mass. Gauss–Seidel then only has to resolve
+//! the shape *within* a class. A coarse solve that fails or yields a
+//! non-positive mass is skipped; the convergence test, the true-residual
+//! check and the budget poll never see the difference.
+//!
+//! The coarse solve costs `K³/3` flops against `nnz` for one sweep. When
+//! `K³/3 > nnz` the solver merges adjacent class labels into runs until
+//! it does not, so labels should number the classes in an order where
+//! neighbours are close (the bound models use the job total).
 //!
 //! The solver consumes `Mᵀ` rather than `M`: row `i` of `Mᵀ` lists exactly
 //! the balance equation of state `i` (all inflow terms of `π M = 0`),
@@ -15,7 +35,13 @@
 
 use crate::budget::Budget;
 use crate::sparse::CsrMatrix;
-use crate::{LinalgError, Result};
+use crate::{LinalgError, Lu, Matrix, Result};
+
+/// Sweeps between two aggregation/disaggregation steps (the first step
+/// runs before the first sweep). A step costs about two sweeps; on the
+/// SQ(d) bound models (`N = 16, T = 3`) periods 1 to 6 need nearly the
+/// same sweeps, and 4 takes the least time.
+const IAD_PERIOD: usize = 4;
 
 /// A converged left null vector of a balance system; see
 /// [`null_vector_gs`].
@@ -29,23 +55,62 @@ pub struct NullVector {
     pub sweeps: usize,
 }
 
-/// Solves `π M = 0`, `π · weights = 1`, `π ≥ 0` by Gauss–Seidel sweeps,
-/// given the **transpose** `Mᵀ` of the balance matrix.
+/// Options for [`null_vector_gs`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct GsOptions<'a> {
+    /// Scaled residual target `‖π M‖∞ / (‖M‖₁ · ‖π‖∞)`.
+    pub tol: f64,
+    /// Sweep cap; the solve fails with [`LinalgError::NoConvergence`]
+    /// past it.
+    pub max_sweeps: usize,
+    /// Cooperative cancellation budget, polled once per sweep.
+    pub budget: Budget,
+    /// Class label of every state, for the aggregation step; `None` (or
+    /// a single label) runs plain Gauss–Seidel. Labels need not be dense:
+    /// unused labels are dropped.
+    pub classes: Option<&'a [u32]>,
+    /// Starting iterate (nonnegative, not all zero); `None` starts from
+    /// the uniform vector.
+    pub start: Option<&'a [f64]>,
+}
+
+impl Default for GsOptions<'_> {
+    fn default() -> Self {
+        GsOptions {
+            tol: 1e-12,
+            max_sweeps: 50_000,
+            budget: Budget::unlimited(),
+            classes: None,
+            start: None,
+        }
+    }
+}
+
+/// Solves `π M = 0`, `π · weights = 1`, `π ≥ 0` by Gauss–Seidel sweeps
+/// accelerated by aggregation/disaggregation over
+/// [`GsOptions::classes`], given the **transpose** `Mᵀ` of the balance
+/// matrix.
 ///
 /// `M` must have CTMC balance structure: strictly negative diagonal and
 /// nonnegative off-diagonal entries (so the sweep preserves nonnegativity
 /// and the splitting is semiconvergent). Convergence is declared when the
-/// scaled residual `‖π M‖∞ / (‖M‖₁ · ‖π‖∞)` drops below `tol`; the raw
-/// residual is reported in [`NullVector::residual`]. `weights` must be
-/// strictly positive.
+/// scaled residual `‖π M‖∞ / (‖M‖₁ · ‖π‖∞)` drops below
+/// [`GsOptions::tol`] and the true residual confirms it; the raw residual
+/// is reported in [`NullVector::residual`]. `weights` must be strictly
+/// positive. The budget is polled after every sweep's convergence test,
+/// so a sweep that converged is returned even if the budget expired
+/// during it.
 ///
 /// # Errors
 ///
 /// * [`LinalgError::NotSquare`] if `mt` is not square.
 /// * [`LinalgError::InvalidInput`] for a missing/nonnegative diagonal,
-///   non-positive weights, or a length mismatch.
+///   non-positive weights, or a class or start vector of the wrong
+///   length (or a start vector that is negative, non-finite or zero).
 /// * [`LinalgError::NoConvergence`] if the scaled residual is still above
-///   `tol` after `max_sweeps` sweeps.
+///   the tolerance after [`GsOptions::max_sweeps`] sweeps.
+/// * [`LinalgError::Interrupted`] (carrying sweeps done, the latest sweep
+///   residual and elapsed time) when the budget trips first.
 ///
 /// # Examples
 ///
@@ -53,7 +118,7 @@ pub struct NullVector {
 /// vector is geometric with ratio ρ = 1/2.
 ///
 /// ```
-/// use slb_linalg::{null_vector_gs, CooBuilder};
+/// use slb_linalg::{null_vector_gs, CooBuilder, GsOptions};
 ///
 /// // Generator M (rows sum to 0), assembled transposed: add(col, row, v).
 /// let mut mt = CooBuilder::new(3, 3);
@@ -64,56 +129,25 @@ pub struct NullVector {
 /// ] {
 ///     mt.add(c, r, v).unwrap();
 /// }
-/// let sol = null_vector_gs(&mt.build(), &[1.0; 3], 1e-14, 1000).unwrap();
+/// let opts = GsOptions { tol: 1e-14, ..GsOptions::default() };
+/// let sol = null_vector_gs(&mt.build(), &[1.0; 3], &opts).unwrap();
 /// let expect = [4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0];
 /// for (got, want) in sol.x.iter().zip(expect) {
 ///     assert!((got - want).abs() < 1e-12);
 /// }
 /// assert!(sol.residual < 1e-12);
 /// ```
-pub fn null_vector_gs(
-    mt: &CsrMatrix,
-    weights: &[f64],
-    tol: f64,
-    max_sweeps: usize,
-) -> Result<NullVector> {
-    null_vector_gs_budgeted(mt, weights, tol, max_sweeps, &Budget::unlimited())
-}
-
-/// [`null_vector_gs`] under a cooperative [`Budget`], polled once per
-/// sweep.
-///
-/// Production-size lumped systems take minutes of sweeps, so this is
-/// the variant the serving stack calls: an expired deadline or a
-/// cancelled token aborts after the current sweep. A sweep that has
-/// already converged returns `Ok` even if the budget expired during it
-/// — finished work is never discarded.
-///
-/// # Errors
-///
-/// Everything [`null_vector_gs`] returns, plus
-/// [`LinalgError::Interrupted`] (carrying sweeps done, the latest sweep
-/// residual and elapsed time) when the budget trips first.
-pub fn null_vector_gs_budgeted(
-    mt: &CsrMatrix,
-    weights: &[f64],
-    tol: f64,
-    max_sweeps: usize,
-    budget: &Budget,
-) -> Result<NullVector> {
+pub fn null_vector_gs(mt: &CsrMatrix, weights: &[f64], opts: &GsOptions) -> Result<NullVector> {
     if !mt.is_square() {
         return Err(LinalgError::NotSquare { shape: mt.shape() });
     }
     let n = mt.rows();
+    let invalid = |reason: String| Err(LinalgError::InvalidInput { reason });
     if weights.len() != n {
-        return Err(LinalgError::InvalidInput {
-            reason: format!("{} weights for a {n}-state system", weights.len()),
-        });
+        return invalid(format!("{} weights for a {n}-state system", weights.len()));
     }
     if weights.iter().any(|&w| !w.is_finite() || w <= 0.0) {
-        return Err(LinalgError::InvalidInput {
-            reason: "normalization weights must be strictly positive and finite".to_string(),
-        });
+        return invalid("normalization weights must be strictly positive and finite".into());
     }
     // Diagonal pivots of M (== diagonal of Mᵀ).
     let mut diag = vec![0.0; n];
@@ -121,18 +155,39 @@ pub fn null_vector_gs_budgeted(
         *d = mt.get(i, i);
         // NaN must fail too, so test for "not strictly negative".
         if d.is_nan() || *d >= 0.0 {
-            return Err(LinalgError::InvalidInput {
-                reason: format!("balance matrix needs a negative diagonal; row {i} has {d}"),
-            });
+            return invalid(format!(
+                "balance matrix needs a negative diagonal; row {i} has {d}"
+            ));
         }
     }
+    let mut agg = match opts.classes {
+        Some(c) if c.len() != n => {
+            return invalid(format!("{} class labels for a {n}-state system", c.len()));
+        }
+        Some(c) => Aggregation::new(c, mt.nnz()),
+        None => None,
+    };
+    let mut x = match opts.start {
+        Some(s) if s.len() != n => {
+            return invalid(format!("start vector of length {} for {n} states", s.len()));
+        }
+        Some(s) if s.iter().any(|&v| !v.is_finite() || v < 0.0) || s.iter().all(|&v| v == 0.0) => {
+            return invalid("start vector must be nonnegative, finite and nonzero".into());
+        }
+        Some(s) => s.to_vec(),
+        None => vec![1.0 / n as f64; n],
+    };
+    normalize(&mut x, weights);
     // ‖M‖∞ over rows of M = maximum absolute column sum of Mᵀ.
     let scale_m = mt.norm_one().max(f64::MIN_POSITIVE);
 
-    let mut x = vec![1.0 / n as f64; n];
-    normalize(&mut x, weights);
     let mut sweeps = 0;
-    while sweeps < max_sweeps {
+    while sweeps < opts.max_sweeps {
+        if sweeps % IAD_PERIOD == 0 {
+            if let Some(agg) = agg.as_mut() {
+                agg.step(mt, weights, &mut x);
+            }
+        }
         sweeps += 1;
         // One forward sweep. The pre-update row sum is the balance residual
         // of equation i under the current (mixed old/new) iterate; its max
@@ -154,9 +209,10 @@ pub fn null_vector_gs_budgeted(
         }
         normalize(&mut x, weights);
         let x_inf = x.iter().fold(0.0_f64, |a, &b| a.max(b.abs()));
-        if sweep_res <= tol * scale_m * x_inf.max(f64::MIN_POSITIVE) {
+        let target = opts.tol * scale_m * x_inf.max(f64::MIN_POSITIVE);
+        if sweep_res <= target {
             let residual = true_residual(mt, &x);
-            if residual <= tol * scale_m * x_inf.max(f64::MIN_POSITIVE) {
+            if residual <= target {
                 return Ok(NullVector {
                     x,
                     residual,
@@ -166,13 +222,138 @@ pub fn null_vector_gs_budgeted(
         }
         // Poll after the convergence test so a sweep that just
         // converged is returned rather than interrupted.
-        budget.check("null_vector_gs", sweeps, sweep_res)?;
+        opts.budget.check("null_vector_gs", sweeps, sweep_res)?;
     }
     Err(LinalgError::NoConvergence {
         method: "null_vector_gs",
-        iterations: max_sweeps,
+        iterations: opts.max_sweeps,
         residual: true_residual(mt, &x),
     })
+}
+
+/// The class partition of one solve plus the scratch of its coarse
+/// solves. Per-state indices are `u32` to keep the solve's footprint
+/// near that of the matrix.
+#[derive(Debug)]
+struct Aggregation {
+    /// Dense class index of every state, `0..k`.
+    class: Vec<u32>,
+    /// Per class: mass `Σ x_i`, weighted mass `Σ w_i x_i`, and the index
+    /// among the classes with positive mass (or `OUT`).
+    mass: Vec<f64>,
+    wmass: Vec<f64>,
+    active: Vec<u32>,
+    /// Per state, the coarse index of its class (or `OUT`).
+    coarse: Vec<u32>,
+}
+
+/// Coarse index of a class left out of the coarse solve (no mass).
+const OUT: u32 = u32::MAX;
+
+impl Aggregation {
+    /// Compacts the labels to `0..k`, merging runs of adjacent labels
+    /// until a dense `k × k` LU (`k³/3` flops) costs no more than one
+    /// sweep over `nnz` entries. `None` when fewer than two classes
+    /// remain.
+    fn new(labels: &[u32], nnz: usize) -> Option<Self> {
+        let span = labels.iter().max().map_or(0, |&l| l as usize + 1);
+        let k_max = ((3 * nnz) as f64).cbrt().floor().max(1.0) as usize;
+        let mut dense = vec![OUT; span];
+        for &l in labels {
+            dense[l as usize] = 0;
+        }
+        let used = dense.iter().filter(|&&d| d == 0).count();
+        // Merge `group` consecutive used labels into one class.
+        let group = used.div_ceil(k_max).max(1);
+        for (next, d) in dense.iter_mut().filter(|d| **d == 0).enumerate() {
+            *d = (next / group) as u32;
+        }
+        let k = used.div_ceil(group);
+        if k < 2 {
+            return None;
+        }
+        Some(Aggregation {
+            class: labels.iter().map(|&l| dense[l as usize]).collect(),
+            mass: vec![0.0; k],
+            wmass: vec![0.0; k],
+            active: vec![OUT; k],
+            coarse: vec![OUT; labels.len()],
+        })
+    }
+
+    /// One aggregation/disaggregation step on `x`. With class masses `ξ_I = Σ_{i∈I} x_i`, the coarse chain
+    /// `C[I][J] = Σ_{i∈I} x_i Σ_{j∈J} M_ij / ξ_I` is solved for `y C = 0`,
+    /// `Σ y_I ω_I = 1` (`ω_I` the class's weight per unit mass), and each
+    /// class is rescaled by `y_I / ξ_I`. Classes without mass stay out;
+    /// `x` is left as it is when fewer than two classes have mass or the
+    /// coarse solve fails.
+    fn step(&mut self, mt: &CsrMatrix, weights: &[f64], x: &mut [f64]) {
+        self.mass.fill(0.0);
+        self.wmass.fill(0.0);
+        for ((&c, &xi), &w) in self.class.iter().zip(x.iter()).zip(weights) {
+            self.mass[c as usize] += xi;
+            self.wmass[c as usize] += w * xi;
+        }
+        let mut ka = 0;
+        for (a, &m) in self.active.iter_mut().zip(&self.mass) {
+            *a = if m > 0.0 {
+                ka += 1;
+                ka - 1
+            } else {
+                OUT
+            };
+        }
+        let ka = ka as usize;
+        if ka < 2 {
+            return;
+        }
+        // Coarse index of every state's class, for one lookup per entry.
+        for (s, &c) in self.coarse.iter_mut().zip(&self.class) {
+            *s = self.active[c as usize];
+        }
+        // sys = Cᵀ: row J holds the balance equation of class J. Row i of
+        // Mᵀ lists the entries M_ji, which flow from class(j) to class(i).
+        let mut sys = vec![0.0; ka * ka];
+        for (i, &to) in self.coarse.iter().enumerate() {
+            if to == OUT {
+                continue;
+            }
+            let eq = &mut sys[to as usize * ka..(to as usize + 1) * ka];
+            for (j, v) in mt.row(i) {
+                let from = self.coarse[j];
+                if from != OUT {
+                    eq[from as usize] += x[j] * v;
+                }
+            }
+        }
+        for (c, &a) in self.active.iter().enumerate() {
+            if a == OUT {
+                continue;
+            }
+            let a = a as usize;
+            for to in 0..ka {
+                sys[to * ka + a] /= self.mass[c];
+            }
+            // Replace the first equation by the normalization.
+            sys[a] = self.wmass[c] / self.mass[c];
+        }
+        let mut rhs = vec![0.0; ka];
+        rhs[0] = 1.0;
+        let solved = Matrix::from_vec(ka, ka, sys)
+            .and_then(|sys| Lu::new(&sys))
+            .and_then(|lu| lu.solve_vec(&rhs));
+        let y = match solved {
+            Ok(y) if y.iter().all(|&v| v.is_finite() && v > 0.0) => y,
+            _ => return,
+        };
+        // Per class, the factor y_I / ξ_I (1 for classes left out).
+        for (m, &a) in self.mass.iter_mut().zip(&self.active) {
+            *m = if a == OUT { 1.0 } else { y[a as usize] / *m };
+        }
+        for (xi, &c) in x.iter_mut().zip(&self.class) {
+            *xi *= self.mass[c as usize];
+        }
+    }
 }
 
 /// `‖π M‖∞ = ‖Mᵀ πᵀ‖∞`.
@@ -216,20 +397,31 @@ mod tests {
         mt.build()
     }
 
-    #[test]
-    fn truncated_mm1_geometric() {
-        let rho = 0.8;
-        let n = 40;
-        let rates: Vec<(f64, f64)> = (0..n)
+    fn mm1_rates(rho: f64, n: usize) -> Vec<(f64, f64)> {
+        (0..n)
             .map(|i| {
                 (
                     if i + 1 < n { rho } else { 0.0 },
                     if i > 0 { 1.0 } else { 0.0 },
                 )
             })
-            .collect();
-        let mt = bd_mt(&rates);
-        let sol = null_vector_gs(&mt, &vec![1.0; n], 1e-13, 10_000).unwrap();
+            .collect()
+    }
+
+    fn opts(tol: f64, max_sweeps: usize) -> GsOptions<'static> {
+        GsOptions {
+            tol,
+            max_sweeps,
+            ..GsOptions::default()
+        }
+    }
+
+    #[test]
+    fn truncated_mm1_geometric() {
+        let rho = 0.8;
+        let n = 40;
+        let mt = bd_mt(&mm1_rates(rho, n));
+        let sol = null_vector_gs(&mt, &vec![1.0; n], &opts(1e-13, 10_000)).unwrap();
         for i in 1..n {
             let ratio = sol.x[i] / sol.x[i - 1];
             assert!((ratio - rho).abs() < 1e-9, "state {i}: ratio {ratio}");
@@ -243,11 +435,17 @@ mod tests {
         let rates = vec![(1.0, 0.0), (0.0, 2.0)];
         let mt = bd_mt(&rates);
         let w = vec![2.0, 4.0];
-        let sol = null_vector_gs(&mt, &w, 1e-13, 1000).unwrap();
-        let dot: f64 = sol.x.iter().zip(&w).map(|(a, b)| a * b).sum();
-        assert!((dot - 1.0).abs() < 1e-12);
-        // Balance: x0 * 1 = x1 * 2.
-        assert!((sol.x[0] - 2.0 * sol.x[1]).abs() < 1e-12);
+        for classes in [None, Some(&[0u32, 1][..])] {
+            let o = GsOptions {
+                classes,
+                ..opts(1e-13, 1000)
+            };
+            let sol = null_vector_gs(&mt, &w, &o).unwrap();
+            let dot: f64 = sol.x.iter().zip(&w).map(|(a, b)| a * b).sum();
+            assert!((dot - 1.0).abs() < 1e-12);
+            // Balance: x0 * 1 = x1 * 2.
+            assert!((sol.x[0] - 2.0 * sol.x[1]).abs() < 1e-12);
+        }
     }
 
     #[test]
@@ -255,28 +453,22 @@ mod tests {
         let mut mt = CooBuilder::new(2, 2);
         mt.add(0, 0, 1.0).unwrap();
         mt.add(1, 1, -1.0).unwrap();
-        let e = null_vector_gs(&mt.build(), &[1.0, 1.0], 1e-10, 10);
+        let e = null_vector_gs(&mt.build(), &[1.0, 1.0], &opts(1e-10, 10));
         assert!(matches!(e, Err(LinalgError::InvalidInput { .. })));
     }
 
     #[test]
     fn cancelled_budget_interrupts_mid_solve() {
-        use crate::{Budget, CancelToken};
-        let rho = 0.999; // slow contraction: needs many sweeps
+        use crate::CancelToken;
         let n = 200;
-        let rates: Vec<(f64, f64)> = (0..n)
-            .map(|i| {
-                (
-                    if i + 1 < n { rho } else { 0.0 },
-                    if i > 0 { 1.0 } else { 0.0 },
-                )
-            })
-            .collect();
-        let mt = bd_mt(&rates);
+        let mt = bd_mt(&mm1_rates(0.999, n)); // slow contraction
         let token = CancelToken::new();
         token.cancel();
-        let budget = Budget::unlimited().cancel_token(token);
-        match null_vector_gs_budgeted(&mt, &vec![1.0; n], 1e-13, 100_000, &budget) {
+        let o = GsOptions {
+            budget: Budget::unlimited().cancel_token(token),
+            ..opts(1e-13, 100_000)
+        };
+        match null_vector_gs(&mt, &vec![1.0; n], &o) {
             Err(LinalgError::Interrupted {
                 method, iterations, ..
             }) => {
@@ -285,15 +477,159 @@ mod tests {
             }
             other => panic!("expected Interrupted, got {other:?}"),
         }
-        // The unbudgeted entry point still converges on the same system.
-        assert!(null_vector_gs(&mt, &vec![1.0; n], 1e-10, 1_000_000).is_ok());
+        // Without the budget the same system converges.
+        assert!(null_vector_gs(&mt, &vec![1.0; n], &opts(1e-10, 1_000_000)).is_ok());
     }
 
     #[test]
     fn rejects_bad_weights() {
         let rates = vec![(1.0, 0.0), (0.0, 2.0)];
         let mt = bd_mt(&rates);
-        assert!(null_vector_gs(&mt, &[1.0, 0.0], 1e-10, 10).is_err());
-        assert!(null_vector_gs(&mt, &[1.0], 1e-10, 10).is_err());
+        let o = opts(1e-10, 10);
+        assert!(null_vector_gs(&mt, &[1.0, 0.0], &o).is_err());
+        assert!(null_vector_gs(&mt, &[1.0], &o).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_classes_and_start() {
+        let mt = bd_mt(&[(1.0, 0.0), (0.0, 2.0)]);
+        let o = opts(1e-10, 10);
+        let bad_classes = GsOptions {
+            classes: Some(&[0]),
+            ..o.clone()
+        };
+        assert!(null_vector_gs(&mt, &[1.0, 1.0], &bad_classes).is_err());
+        for start in [&[1.0][..], &[0.0, 0.0], &[1.0, -1.0], &[f64::NAN, 1.0]] {
+            let bad_start = GsOptions {
+                start: Some(start),
+                ..o.clone()
+            };
+            assert!(null_vector_gs(&mt, &[1.0, 1.0], &bad_start).is_err());
+        }
+    }
+
+    /// Dense GTH (Grassmann–Taksar–Heyman) elimination on the generator
+    /// `M = (Mᵀ)ᵀ`: subtraction-free, so exact to round-off — the
+    /// reference the iterative solve is held to.
+    fn gth(mt: &CsrMatrix) -> Vec<f64> {
+        let n = mt.rows();
+        let mut q = mt.to_dense().transpose();
+        for k in (1..n).rev() {
+            let s: f64 = (0..k).map(|j| q[(k, j)]).sum();
+            for i in 0..k {
+                q[(i, k)] /= s;
+            }
+            for i in 0..k {
+                for j in 0..k {
+                    if i != j {
+                        q[(i, j)] += q[(i, k)] * q[(k, j)];
+                    }
+                }
+            }
+        }
+        let mut p = vec![0.0; n];
+        p[0] = 1.0;
+        for k in 1..n {
+            p[k] = (0..k).map(|i| p[i] * q[(i, k)]).sum();
+        }
+        let s: f64 = p.iter().sum();
+        p.iter().map(|v| v / s).collect()
+    }
+
+    /// A nearly completely decomposable chain: `blocks` dense clusters of
+    /// `size` states with O(1) internal rates, joined in a ring by rates
+    /// of order `eps`. Plain Gauss–Seidel needs ~1/eps sweeps to move
+    /// mass between clusters; one aggregation step per period places it.
+    fn nearly_decomposable(blocks: usize, size: usize, eps: f64) -> (CsrMatrix, Vec<u32>) {
+        let n = blocks * size;
+        let mut q = vec![vec![0.0; n]; n];
+        for b in 0..blocks {
+            for i in 0..size {
+                for j in 0..size {
+                    if i != j {
+                        q[b * size + i][b * size + j] =
+                            1.0 + ((3 * i + 5 * j + b) % 7) as f64 / 7.0;
+                    }
+                }
+            }
+            let next = (b + 1) % blocks;
+            q[b * size + size - 1][next * size] = eps * (1.0 + b as f64);
+            q[next * size][b * size + size - 1] = eps * 0.5;
+        }
+        let mut mt = CooBuilder::new(n, n);
+        for (i, row) in q.iter().enumerate() {
+            let out: f64 = row.iter().sum();
+            for (j, &v) in row.iter().enumerate() {
+                if v > 0.0 {
+                    mt.add(j, i, v).unwrap();
+                }
+            }
+            mt.add(i, i, -out).unwrap();
+        }
+        let classes = (0..n).map(|i| (i / size) as u32).collect();
+        (mt.build(), classes)
+    }
+
+    #[test]
+    fn aggregation_solves_nearly_decomposable_chain_in_few_sweeps() {
+        let (mt, classes) = nearly_decomposable(6, 5, 1e-3);
+        let n = mt.rows();
+        let exact = gth(&mt);
+        let plain = null_vector_gs(&mt, &vec![1.0; n], &opts(1e-13, 200_000)).unwrap();
+        let iad_opts = GsOptions {
+            classes: Some(&classes),
+            ..opts(1e-13, 200_000)
+        };
+        let iad = null_vector_gs(&mt, &vec![1.0; n], &iad_opts).unwrap();
+        for (i, (&got, &want)) in iad.x.iter().zip(&exact).enumerate() {
+            assert!((got - want).abs() < 1e-12, "state {i}: {got} vs GTH {want}");
+        }
+        assert!(
+            iad.sweeps * 20 < plain.sweeps,
+            "aggregation {} sweeps vs plain {}",
+            iad.sweeps,
+            plain.sweeps
+        );
+        // One label for everything is plain Gauss–Seidel, sweep for sweep.
+        let single = GsOptions {
+            classes: Some(&vec![7; n]),
+            ..opts(1e-13, 200_000)
+        };
+        let one = null_vector_gs(&mt, &vec![1.0; n], &single).unwrap();
+        assert_eq!(one, plain);
+    }
+
+    #[test]
+    fn class_merging_caps_the_coarse_system() {
+        // 3·nnz = 3·118 → at most 7 classes; 40 labels merge in runs of 6.
+        let mt = bd_mt(&mm1_rates(0.9, 40));
+        let labels: Vec<u32> = (0..40).map(|i| 2 * i).collect();
+        let agg = Aggregation::new(&labels, mt.nnz()).unwrap();
+        assert_eq!(mt.nnz(), 118);
+        let k = agg.mass.len();
+        assert_eq!(k, 7);
+        assert!(k.pow(3) <= 3 * mt.nnz());
+        assert_eq!(&agg.class[..7], &[0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(agg.class[39], 6);
+        // Merged classes still converge to the geometric answer.
+        let o = GsOptions {
+            classes: Some(&labels),
+            ..opts(1e-13, 10_000)
+        };
+        let sol = null_vector_gs(&mt, &vec![1.0; 40], &o).unwrap();
+        assert!((sol.x[1] / sol.x[0] - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warm_start_is_used() {
+        let n = 40;
+        let mt = bd_mt(&mm1_rates(0.8, n));
+        let cold = null_vector_gs(&mt, &vec![1.0; n], &opts(1e-13, 10_000)).unwrap();
+        let warm_opts = GsOptions {
+            start: Some(&cold.x),
+            ..opts(1e-13, 10_000)
+        };
+        let warm = null_vector_gs(&mt, &vec![1.0; n], &warm_opts).unwrap();
+        assert_eq!(warm.sweeps, 1, "a converged start needs one sweep");
     }
 }

@@ -51,7 +51,7 @@ mod workspace;
 
 pub use budget::{Budget, CancelToken};
 pub use error::LinalgError;
-pub use gs::{null_vector_gs, null_vector_gs_budgeted, NullVector};
+pub use gs::{null_vector_gs, GsOptions, NullVector};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use sparse::{CooBuilder, CsrMatrix};

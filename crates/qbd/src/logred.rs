@@ -492,6 +492,39 @@ fn m_matrix_sign(blocks: &SparseQbdBlocks, z: f64, budget: &Budget) -> Result<bo
     Ok(growth >= 1.0)
 }
 
+/// Smallest distance `δ` of the bracket's upper end `1 − δ` from 1.
+const MIN_BRACKET_OFFSET: f64 = 1e-9;
+
+/// Size of a Perron root the sign test resolves, relative to the rate
+/// scale `‖A1‖∞` (power iteration resolves about 1e-12 of it).
+const SIGN_RESOLUTION: f64 = 1e-8;
+
+/// Picks the upper end `1 − δ` of the decay-rate bracket, where `χ` must
+/// be negative. Since `χ(1) = 0` and `χ′(1) = π A2 e − π A0 e` is the
+/// drift margin, `χ(1 − δ) ≈ −δ · margin`: the first `δ` tried makes that
+/// product [`SIGN_RESOLUTION`] of the rate scale, so the sign test can
+/// resolve it (a fixed `δ = 1e-9` cannot near the stability boundary). A
+/// positive sign then means `1 − δ` lies below the root, and `δ` shrinks
+/// toward 1 until the sign turns or `δ` reaches [`MIN_BRACKET_OFFSET`].
+fn upper_bracket_offset(blocks: &SparseQbdBlocks, margin: f64, budget: &Budget) -> Result<f64> {
+    let scale = blocks.a1().norm_inf();
+    let mut delta = (SIGN_RESOLUTION * scale / margin).clamp(MIN_BRACKET_OFFSET, 0.5);
+    let mut tries = 0;
+    while perron_sign_of_quadratic(blocks, 1.0 - delta, budget)? {
+        if delta <= MIN_BRACKET_OFFSET {
+            return Err(QbdError::NoConvergence {
+                method: "decay_rate_bisection",
+                iterations: 0,
+                residual: f64::NAN,
+            });
+        }
+        tries += 1;
+        budget.check("decay_rate_bracket", tries, delta)?;
+        delta = (delta / 16.0).max(MIN_BRACKET_OFFSET);
+    }
+    Ok(delta)
+}
+
 /// Decay-rate-only fast path: computes `sp(R)` — the geometric tail
 /// decay per level — **without ever forming `R`**, as the unique root in
 /// `(0, 1)` of the Perron eigenvalue of `A(z) = A0 + z·A1 + z²·A2`
@@ -503,10 +536,12 @@ fn m_matrix_sign(blocks: &SparseQbdBlocks, z: f64, budget: &Budget) -> Result<bo
 /// per bisection step is `O(nnz · sweeps)`; this is the tail-exponent
 /// path for lumped blocks whose `R` would be dense and enormous.
 ///
-/// The bisection runs in log space (the root scales like `ρᴺ` and can be
-/// far below 1e-9 at production `N`) until the bracket is within relative
-/// width `tol`; rates smaller than an internal floor of `1e-14` are
-/// reported as the floor.
+/// The bracket's upper end sits where the drift margin makes `χ`
+/// resolvably negative, not at a fixed distance from 1, so models near
+/// the stability boundary still bracket. The bisection runs in log space
+/// (the root scales like `ρᴺ` and can be far below 1e-9 at production
+/// `N`) until the bracket is within relative width `tol`; rates smaller
+/// than an internal floor of `1e-14` are reported as the floor.
 ///
 /// Dense counterpart: [`decay_rate`](crate::decay_rate), which computes
 /// `G`, then `R`, then its spectral radius.
@@ -516,7 +551,8 @@ fn m_matrix_sign(blocks: &SparseQbdBlocks, z: f64, budget: &Budget) -> Result<bo
 /// * [`QbdError::Unstable`] if Neuts' drift condition fails (the root
 ///   would be ≥ 1).
 /// * [`QbdError::NoConvergence`] if the sign bracket cannot be
-///   established (numerically marginal stability).
+///   established (numerically marginal stability: `χ` stays
+///   non-negative up to `1 − 1e-9`).
 /// * [`QbdError::Linalg`] from a failed power iteration.
 ///
 /// # Examples
@@ -570,14 +606,7 @@ pub fn decay_rate_sparse_budgeted(
     // then reported as-is (downstream truncation depths are insensitive
     // at that scale).
     let mut lo = DECAY_FLOOR;
-    let mut hi = 1.0 - 1e-9;
-    if perron_sign_of_quadratic(blocks, hi, budget)? {
-        return Err(QbdError::NoConvergence {
-            method: "decay_rate_bisection",
-            iterations: 0,
-            residual: f64::NAN,
-        });
-    }
+    let mut hi = 1.0 - upper_bracket_offset(blocks, down - up, budget)?;
     // Log-space bisection: relative precision on a root that may sit
     // anywhere between the floor and 1.
     let mut iters = 0usize;

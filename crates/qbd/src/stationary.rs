@@ -18,7 +18,7 @@
 //! the `G`/`R` computation entirely; [`QbdBlocks::solve_with_scalar_tail`]
 //! implements that dramatically cheaper path.
 
-use slb_linalg::{null_vector_gs_budgeted, vector, CooBuilder, CsrMatrix, Lu, Matrix};
+use slb_linalg::{null_vector_gs, vector, CooBuilder, CsrMatrix, Lu, Matrix};
 
 use crate::lumped::{add_csr_block_transposed, SparseQbdBlocks, SparseSolveOptions};
 use crate::{logarithmic_reduction, rate_matrix, QbdBlocks, QbdError, Result};
@@ -409,7 +409,8 @@ impl SparseQbdBlocks {
     /// QBD assuming the scalar geometric tail `π_{q+1} = β·π_q`
     /// (Theorems 2–3 of the paper; `β = ρᴺ` for the Poisson lower-bound
     /// model), with the finite balance system kept in CSR form and
-    /// solved by Gauss–Seidel instead of LU.
+    /// solved by Gauss–Seidel with aggregation over the blocks' classes
+    /// (level 1 standing for the whole tail) instead of LU.
     ///
     /// The assembled system and normalization are *identical* to the
     /// dense path — `(π_b, π_0, π_1)·M = 0` with tail column `A1 + β·A2`
@@ -476,8 +477,8 @@ impl SparseQbdBlocks {
             *v = 1.0 / (1.0 - beta);
         }
 
-        let gs = null_vector_gs_budgeted(&mt, &norm, opts.gs_tol, opts.gs_max_sweeps, &opts.budget)
-            .map_err(QbdError::from)?;
+        let classes = self.system_classes(2);
+        let gs = null_vector_gs(&mt, &norm, &opts.gs(&classes, None))?;
 
         let mut boundary = gs.x[..nb].to_vec();
         let mut level0 = gs.x[nb..nb + m].to_vec();
