@@ -9,7 +9,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// A scaling-family grid whose points route through the occupancy-lumped
-/// solvers (n > 12): every solve polls its budget, so the armed
+/// solvers: every solve polls its budget, so the armed
 /// `solver.slow_iter` fault (1 ms sleep per poll) stretches each point
 /// to seconds — a wide, deterministic window for the mid-run SIGINT.
 const SPEC: &str = r#"

@@ -19,20 +19,29 @@ struct Daemon {
 }
 
 fn start_daemon(cache_dir: &std::path::Path) -> Daemon {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_slb"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--threads",
-            "2",
-            "--cache-dir",
-            &cache_dir.to_string_lossy(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn slb serve");
+    start_daemon_with(cache_dir, &[], None)
+}
+
+/// [`start_daemon`] with extra `slb serve` flags and, optionally, a
+/// fault spec armed through `SLB_FAULTS`.
+fn start_daemon_with(cache_dir: &std::path::Path, extra: &[&str], faults: Option<&str>) -> Daemon {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_slb"));
+    cmd.args([
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--threads",
+        "2",
+        "--cache-dir",
+        &cache_dir.to_string_lossy(),
+    ])
+    .args(extra)
+    .stdout(Stdio::piped())
+    .stderr(Stdio::null());
+    if let Some(spec) = faults {
+        cmd.env("SLB_FAULTS", spec);
+    }
+    let mut child = cmd.spawn().expect("spawn slb serve");
     let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
     // The first line reports the resolved ephemeral port.
     let mut line = String::new();
@@ -197,31 +206,8 @@ fn over_deadline_solve_aborts_mid_iteration_and_frees_the_worker() {
     // A short deadline the N = 24 lumped solve cannot possibly meet
     // in a debug build. (CI's release-build cancel-smoke job runs the
     // same check at the production N = 64.)
-    let mut child = Command::new(env!("CARGO_BIN_EXE_slb"))
-        .args([
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--threads",
-            "2",
-            "--deadline-ms",
-            "250",
-            "--cache-dir",
-            &base.to_string_lossy(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn slb serve");
-    let mut stdout = BufReader::new(child.stdout.take().expect("child stdout"));
-    let mut line = String::new();
-    stdout.read_line(&mut line).expect("read listening line");
-    let addr = line.trim().rsplit("http://").next().unwrap().to_string();
-    let daemon = Daemon {
-        child,
-        addr: addr.clone(),
-        stdout,
-    };
+    let daemon = start_daemon_with(&base, &["--deadline-ms", "250"], None);
+    let addr = daemon.addr.clone();
 
     // A query worth seconds of solve against a 250 ms budget. The
     // budget threaded into the solve must abort it mid-iteration and
@@ -254,6 +240,40 @@ fn over_deadline_solve_aborts_mid_iteration_and_frees_the_worker() {
     };
     let answered = client::post_query(&addr, &small).unwrap();
     assert_eq!(answered.computed, 1, "worker must still answer queries");
+
+    client::post_shutdown(&addr).unwrap();
+    let (status, _) = wait_exit(daemon);
+    assert!(status.success());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn small_n_bounds_solve_obeys_the_deadline() {
+    let base = std::env::temp_dir().join(format!("slb-serve-small-n-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    // N ≤ 12 bounds queries go through the same budgeted solver as large
+    // N: stretched by a 1 ms stall per budget poll, the N = 12, T = 4
+    // solve must stop at its 250 ms deadline, not run to completion.
+    let daemon = start_daemon_with(&base, &["--deadline-ms", "250"], Some("solver.slow_iter=1"));
+    let addr = daemon.addr.clone();
+    let query = "{\"kind\":\"bounds\",\"n\":12,\"d\":2,\"t\":4,\"rho\":0.5,\
+                 \"jobs\":20000,\"replications\":1,\"seed\":7}";
+    let started = Instant::now();
+    let (status, body) = client::request(&addr, "POST", "/v1/query", Some(query)).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("interrupted"), "{body}");
+    assert!(
+        elapsed < Duration::from_millis(250 + 1500),
+        "503 must arrive within deadline + poll latency, took {elapsed:?}"
+    );
+    let (_, stats) = client::request(&addr, "GET", "/stats", None).unwrap();
+    let doc = Json::parse(&stats).unwrap();
+    assert!(
+        doc.get("solve_aborted").unwrap().as_f64().unwrap() >= 1.0,
+        "{stats}"
+    );
 
     client::post_shutdown(&addr).unwrap();
     let (status, _) = wait_exit(daemon);

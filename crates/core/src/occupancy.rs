@@ -1491,6 +1491,29 @@ mod tests {
     }
 
     #[test]
+    fn truncation_rounds_near_the_boundary_stay_within_their_sweeps() {
+        // N = 10, T = 3, ρ = 0.75 is the slowest stable point of the
+        // Fig. 10 axis. The accepted round alone takes a dozen sweeps;
+        // all rounds together took 1,463 when the coarse solve merged
+        // job totals into runs of about one level, and 476 with one
+        // class per total.
+        let sqd = Sqd::new(10, 2, 0.75).unwrap();
+        let blocks = LumpedModel::new(sqd, BoundKind::Upper, 3)
+            .unwrap()
+            .qbd_blocks()
+            .unwrap();
+        let upper = blocks
+            .solve_decay_tail(&SparseSolveOptions::default())
+            .unwrap();
+        assert!(upper.sweeps() <= upper.total_sweeps());
+        assert!(
+            upper.total_sweeps() <= 700,
+            "{} sweeps over all rounds",
+            upper.total_sweeps()
+        );
+    }
+
+    #[test]
     fn qbd_blocks_label_states_by_total() {
         let model = LumpedModel::new(Sqd::new(4, 2, 0.5).unwrap(), BoundKind::Lower, 2).unwrap();
         let blocks = model.qbd_blocks().unwrap();

@@ -467,6 +467,53 @@ proptest! {
     }
 }
 
+/// Both bounds, lumped ≡ dense, on the Fig. 10 axis ρ = 0.05…0.95 at
+/// every `N ∈ {3, 4, 5, 6, 8, 10}`, `T ∈ {2, 3}` (d = 2), plus the point
+/// N = 3, T = 2, ρ = 0.8031 just inside the upper model's stability
+/// boundary, where the mean delay (63.3) amplifies the solver residual
+/// most: wherever the dense solve answers, the lumped one answers the
+/// same to 1e-8 relative, and the two agree on instability.
+#[test]
+fn lumped_bounds_match_dense_on_the_fig10_grid() {
+    let mut points = vec![(3usize, 2u32, 0.8031f64)];
+    for n in [3, 4, 5, 6, 8, 10] {
+        for t in [2, 3] {
+            points.extend((1..=19).map(|i| (n, t, f64::from(i) * 0.05)));
+        }
+    }
+    let rel = |a: f64, b: f64| (a - b).abs() / b;
+    let mut failures = Vec::new();
+    for (n, t, rho) in points {
+        let sqd = Sqd::new(n, 2, rho).unwrap();
+        let point = format!("N={n} T={t} ρ={rho:.4}");
+        let dense = sqd.lower_bound(t).unwrap().delay;
+        let lumped = sqd.lower_bound_lumped(t).unwrap().delay;
+        if rel(lumped, dense) > 1e-8 {
+            failures.push(format!("lower {point}: lumped {lumped} vs dense {dense}"));
+        }
+        match (sqd.upper_bound(t), sqd.upper_bound_lumped(t)) {
+            (Ok(dense), Ok(lumped)) => {
+                if rel(lumped.delay, dense.delay) > 1e-8 {
+                    failures.push(format!(
+                        "upper {point}: lumped {} vs dense {}",
+                        lumped.delay, dense.delay
+                    ));
+                }
+            }
+            (
+                Err(CoreError::UpperBoundUnstable { .. }),
+                Err(CoreError::UpperBoundUnstable { .. }),
+            ) => {}
+            (dense, lumped) => failures.push(format!(
+                "upper {point}: dense {:?} vs lumped {:?}",
+                dense.map(|r| r.delay),
+                lumped.map(|r| r.delay)
+            )),
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

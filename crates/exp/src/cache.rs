@@ -35,7 +35,10 @@ use crate::json::{escape, Json};
 /// solvers (same quantities, but only equal to the dense path to solver
 /// tolerance), and bound cells can now carry the `nonconverged` status
 /// where an iterative solve exhausts its cap instead of silently
-/// reporting its last iterate.
+/// reporting its last iterate. Routing every `n` through the lumped
+/// solvers later kept v5: their 4-decimal cells equal the dense path's
+/// on the Fig. 10 panels, so cached rows still describe what the
+/// runner emits.
 pub const CACHE_SCHEMA: u32 = 5;
 
 /// 64-bit FNV-1a — the workspace-standard small stable hash.

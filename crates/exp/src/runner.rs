@@ -38,7 +38,8 @@ pub type Row = Vec<String>;
 /// | `scaling` | — (new) | large-`N` simulator scaling, mean-field sandwich |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// Lower/upper/simulated/asymptotic mean delay (Figure 10).
+    /// Lower/upper/simulated/asymptotic mean delay (Figure 10), the
+    /// bounds from the occupancy-lumped solvers at every `N`.
     Bounds,
     /// Relative error of the asymptotic formula vs simulation (Figure 9).
     AsymptoticError,
@@ -343,15 +344,6 @@ fn run_sim(
         .map_err(|e| format!("sim run: {e}"))
 }
 
-/// Largest `N` the bounds family answers with the dense QBD solver;
-/// beyond it the state space (`(T+1)^N` phases before lumping) makes
-/// the dense path infeasible and the family routes through the exact
-/// occupancy-lumped solvers instead — the same quantities (the lumping
-/// is lossless; `lumped_bounds_match_dense_to_1e8` in `slb-core` pins
-/// the agreement) computed on a polynomial-size state space, and
-/// cancellable mid-iteration via the job's [`Budget`].
-const DENSE_N_MAX: usize = 12;
-
 /// `bounds` (ex-`fig10`): LB / sim / UB / asymptotic at one `(N, T, ρ)`.
 fn run_bounds(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     let n = job.usize("n")?;
@@ -362,34 +354,7 @@ fn run_bounds(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     let sqd = Sqd::new(n, d, rho).map_err(|e| format!("bounds model: {e}"))?;
     // Where the upper-bound model is unstable (high utilization at small
     // T — the blow-up visible in the paper's plots) report `inf`.
-    let (lb_cell, ub_cell) = if n <= DENSE_N_MAX {
-        let lb = sqd
-            .lower_bound(t)
-            .map_err(|e| format!("lower bound: {e}"))?;
-        let ub = match sqd.upper_bound(t) {
-            Ok(r) => f4(r.delay),
-            Err(CoreError::UpperBoundUnstable { .. }) => "inf".to_string(),
-            Err(e) => return Err(format!("upper bound: {e}")),
-        };
-        (f4(lb.delay), ub)
-    } else {
-        let opts = SparseSolveOptions {
-            budget: budget.clone(),
-            ..SparseSolveOptions::default()
-        };
-        let lb = match sqd.lower_bound_lumped_with(t, &opts) {
-            Ok(r) => f4(r.delay),
-            Err(CoreError::NonConverged { .. }) => "nonconverged".to_string(),
-            Err(e) => return Err(format!("lumped lower bound: {e}")),
-        };
-        let ub = match sqd.upper_bound_lumped_with(t, &opts) {
-            Ok(r) => f4(r.delay),
-            Err(CoreError::UpperBoundUnstable { .. }) => "inf".to_string(),
-            Err(CoreError::NonConverged { .. }) => "nonconverged".to_string(),
-            Err(e) => return Err(format!("lumped upper bound: {e}")),
-        };
-        (lb, ub)
-    };
+    let (lb_cell, ub_cell) = lumped_sandwich(&sqd, t, budget, "inf")?;
     let sim = run_sim(job, n, rho, Policy::SqD { d }, None, budget)?;
 
     Ok(vec![vec![
@@ -637,7 +602,10 @@ fn run_scaling(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     let Some(policy) = scaling_policy(policy_name, d, n)? else {
         return Ok(Vec::new());
     };
-    let (lower, upper) = lumped_sandwich(policy, n, d, rho, t, budget)?;
+    // JSQ is SQ(N): every arrival polls all servers.
+    let poll = if matches!(policy, Policy::Jsq) { n } else { d };
+    let sqd = Sqd::new(n, poll, rho).map_err(|e| format!("scaling model: {e}"))?;
+    let (lower, upper) = lumped_sandwich(&sqd, t, budget, "unstable")?;
     let sim = run_sim(job, n, rho, policy, None, budget)?;
 
     Ok(vec![vec![
@@ -654,27 +622,22 @@ fn run_scaling(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     ]])
 }
 
-/// The exact lumped-QBD mean-delay sandwich at threshold `t`. Returns
-/// the lower- and upper-bound cells: `unstable` where the upper model's
-/// drift condition fails — [`check_sandwich`] skips that side of the
-/// comparison, exactly as the `bounds` family's `inf` — and
-/// `nonconverged` where a solver exhausted its iteration cap, which
-/// [`check_sandwich`] reports as a skipped row status instead of
-/// comparing a last iterate that is not a bound. A tripped budget
-/// aborts the job instead (`interrupted: ...`).
+/// The exact lumped-QBD mean-delay sandwich of `sqd` at threshold `t`.
+/// Returns the lower- and upper-bound cells: the `unstable` cell (`inf`
+/// for `bounds`, `unstable` for `scaling`) where the upper model's drift
+/// condition fails — [`check_sandwich`] skips that side of the
+/// comparison — and `nonconverged` where a solver exhausted its
+/// iteration cap, which [`check_sandwich`] reports as a skipped row
+/// status instead of comparing a last iterate that is not a bound. A
+/// tripped budget aborts the job instead (`interrupted: ...`).
 ///
 /// [`check_sandwich`]: crate::check_sandwich
 fn lumped_sandwich(
-    policy: Policy,
-    n: usize,
-    d: usize,
-    rho: f64,
+    sqd: &Sqd,
     t: u32,
     budget: &Budget,
+    unstable: &str,
 ) -> Result<(String, String), String> {
-    // JSQ is SQ(N): every arrival polls all servers.
-    let poll = if matches!(policy, Policy::Jsq) { n } else { d };
-    let sqd = Sqd::new(n, poll, rho).map_err(|e| format!("scaling model: {e}"))?;
     let opts = SparseSolveOptions {
         budget: budget.clone(),
         ..SparseSolveOptions::default()
@@ -686,7 +649,7 @@ fn lumped_sandwich(
     };
     let upper = match sqd.upper_bound_lumped_with(t, &opts) {
         Ok(r) => f4(r.delay),
-        Err(CoreError::UpperBoundUnstable { .. }) => "unstable".to_string(),
+        Err(CoreError::UpperBoundUnstable { .. }) => unstable.to_string(),
         Err(CoreError::NonConverged { .. }) => "nonconverged".to_string(),
         Err(e) => return Err(format!("lumped upper bound: {e}")),
     };

@@ -17,17 +17,26 @@
 //! ch. 6) fixes exactly that part. The caller partitions the states into
 //! classes ([`GsOptions::classes`]). Every fourth sweep the solver sums
 //! the iterate into classes, builds the coarse `K × K` chain between
-//! them from the current within-class shape, solves it exactly (dense LU, one equation replaced by the normalization, which
-//! also covers balance systems that are not generators), and rescales
-//! each class to its coarse mass. Gauss–Seidel then only has to resolve
-//! the shape *within* a class. A coarse solve that fails or yields a
-//! non-positive mass is skipped; the convergence test, the true-residual
-//! check and the budget poll never see the difference.
+//! them from the current within-class shape, solves it exactly, and
+//! rescales each class to its coarse mass. Gauss–Seidel then only has to
+//! resolve the shape *within* a class. The coarse solve fixes the first
+//! class's mass at 1, drops its equation, eliminates the rest without
+//! pivoting and normalizes by the weights, which also covers balance
+//! systems that are not generators. A coarse solve that meets a zero
+//! pivot or yields a non-positive mass is skipped; the convergence test,
+//! the true-residual check and the budget poll never see the difference.
 //!
-//! The coarse solve costs `K³/3` flops against `nnz` for one sweep. When
-//! `K³/3 > nnz` the solver merges adjacent class labels into runs until
-//! it does not, so labels should number the classes in an order where
-//! neighbours are close (the bound models use the job total).
+//! The coarse chain is banded when one transition moves a state by only
+//! a few classes (the bound models label states by their job total, and
+//! a transition changes it by a few jobs): the balance equation of class
+//! `I` involves classes `I − bl ..= I + bu` only. The solver measures
+//! `(bl, bu)` over `Mᵀ` once per solve and eliminates inside the band,
+//! `K·(bl+1)·(bu+1)` flops against `nnz` for one sweep. While the band
+//! solve costs more than `3·nnz` it merges adjacent class labels into
+//! runs, so labels should number the classes in an order where
+//! neighbours are close. A chain whose classes all talk to each other
+//! (the bound models' phase chain) is the full-band case of the same
+//! code.
 //!
 //! The solver consumes `Mᵀ` rather than `M`: row `i` of `Mᵀ` lists exactly
 //! the balance equation of state `i` (all inflow terms of `π M = 0`),
@@ -35,7 +44,7 @@
 
 use crate::budget::Budget;
 use crate::sparse::CsrMatrix;
-use crate::{LinalgError, Lu, Matrix, Result};
+use crate::{LinalgError, Result};
 
 /// Sweeps between two aggregation/disaggregation steps (the first step
 /// runs before the first sweep). A step costs about two sweeps; on the
@@ -164,7 +173,7 @@ pub fn null_vector_gs(mt: &CsrMatrix, weights: &[f64], opts: &GsOptions) -> Resu
         Some(c) if c.len() != n => {
             return invalid(format!("{} class labels for a {n}-state system", c.len()));
         }
-        Some(c) => Aggregation::new(c, mt.nnz()),
+        Some(c) => Aggregation::new(c, mt),
         None => None,
     };
     let mut x = match opts.start {
@@ -245,48 +254,80 @@ struct Aggregation {
     active: Vec<u32>,
     /// Per state, the coarse index of its class (or `OUT`).
     coarse: Vec<u32>,
+    /// Band of the coarse system `Cᵀ` in class units: the balance
+    /// equation of class `I` involves classes `I − lower ..= I + upper`.
+    lower: usize,
+    upper: usize,
+    /// `Cᵀ` in band storage: row `I` holds columns `I − lower ..= I +
+    /// upper`, `lower + upper + 1` entries per row.
+    band: Vec<f64>,
+    /// Per coarse index: the weight per unit mass `ω_I` and the coarse
+    /// solution `y_I`.
+    omega: Vec<f64>,
+    y: Vec<f64>,
 }
 
 /// Coarse index of a class left out of the coarse solve (no mass).
 const OUT: u32 = u32::MAX;
 
 impl Aggregation {
-    /// Compacts the labels to `0..k`, merging runs of adjacent labels
-    /// until a dense `k × k` LU (`k³/3` flops) costs no more than one
-    /// sweep over `nnz` entries. `None` when fewer than two classes
-    /// remain.
-    fn new(labels: &[u32], nnz: usize) -> Option<Self> {
+    /// Compacts the labels to `0..k` and measures the band of the coarse
+    /// system over `mt`; merges runs of adjacent labels while the band
+    /// elimination (`k·(lower+1)·(upper+1)` flops) costs more than one
+    /// sweep over `nnz` entries, counted as `3·nnz`. `None` when fewer
+    /// than two classes remain.
+    fn new(labels: &[u32], mt: &CsrMatrix) -> Option<Self> {
         let span = labels.iter().max().map_or(0, |&l| l as usize + 1);
-        let k_max = ((3 * nnz) as f64).cbrt().floor().max(1.0) as usize;
-        let mut dense = vec![OUT; span];
+        let mut rank = vec![OUT; span];
         for &l in labels {
-            dense[l as usize] = 0;
+            rank[l as usize] = 0;
         }
-        let used = dense.iter().filter(|&&d| d == 0).count();
-        // Merge `group` consecutive used labels into one class.
-        let group = used.div_ceil(k_max).max(1);
-        for (next, d) in dense.iter_mut().filter(|d| **d == 0).enumerate() {
-            *d = (next / group) as u32;
+        let mut used = 0;
+        for r in rank.iter_mut().filter(|r| **r == 0) {
+            *r = used;
+            used += 1;
         }
+        let used = used as usize;
+        let mut class: Vec<u32> = labels.iter().map(|&l| rank[l as usize]).collect();
+        let (mut lower, mut upper) = band_of(mt, &class);
+        // Merging `g` adjacent classes divides the band by `g`, rounded up.
+        let cost = |g: usize| used.div_ceil(g) * (lower.div_ceil(g) + 1) * (upper.div_ceil(g) + 1);
+        let group = (1..used.max(1))
+            .find(|&g| cost(g) <= 3 * mt.nnz())
+            .unwrap_or(used.max(1));
         let k = used.div_ceil(group);
         if k < 2 {
             return None;
         }
+        if group > 1 {
+            for c in &mut class {
+                *c /= group as u32;
+            }
+            (lower, upper) = band_of(mt, &class);
+        }
         Some(Aggregation {
-            class: labels.iter().map(|&l| dense[l as usize]).collect(),
+            class,
             mass: vec![0.0; k],
             wmass: vec![0.0; k],
             active: vec![OUT; k],
             coarse: vec![OUT; labels.len()],
+            lower,
+            upper,
+            band: vec![0.0; k * (lower + upper + 1)],
+            omega: vec![0.0; k],
+            y: vec![0.0; k],
         })
     }
 
-    /// One aggregation/disaggregation step on `x`. With class masses `ξ_I = Σ_{i∈I} x_i`, the coarse chain
-    /// `C[I][J] = Σ_{i∈I} x_i Σ_{j∈J} M_ij / ξ_I` is solved for `y C = 0`,
-    /// `Σ y_I ω_I = 1` (`ω_I` the class's weight per unit mass), and each
-    /// class is rescaled by `y_I / ξ_I`. Classes without mass stay out;
-    /// `x` is left as it is when fewer than two classes have mass or the
-    /// coarse solve fails.
+    /// One aggregation/disaggregation step on `x`. With class masses
+    /// `ξ_I = Σ_{i∈I} x_i`, the coarse chain `C[I][J] = Σ_{i∈I} x_i
+    /// Σ_{j∈J} M_ij / ξ_I` is solved for `y C = 0`, `Σ y_I ω_I = 1`
+    /// (`ω_I` the class's weight per unit mass), and each class is
+    /// rescaled by `y_I / ξ_I`. The solve fixes `y₀ = 1`, drops class 0's
+    /// equation, eliminates the rest of `Cᵀ` inside its band without
+    /// pivoting, and normalizes. Classes without mass stay out; `x` is
+    /// left as it is when fewer than two classes have mass or the coarse
+    /// solve meets a zero pivot or a non-positive mass.
     fn step(&mut self, mt: &CsrMatrix, weights: &[f64], x: &mut [f64]) {
         self.mass.fill(0.0);
         self.wmass.fill(0.0);
@@ -295,15 +336,15 @@ impl Aggregation {
             self.wmass[c as usize] += w * xi;
         }
         let mut ka = 0;
-        for (a, &m) in self.active.iter_mut().zip(&self.mass) {
-            *a = if m > 0.0 {
+        for (c, a) in self.active.iter_mut().enumerate() {
+            *a = if self.mass[c] > 0.0 {
+                self.omega[ka] = self.wmass[c] / self.mass[c];
                 ka += 1;
-                ka - 1
+                ka as u32 - 1
             } else {
                 OUT
             };
         }
-        let ka = ka as usize;
         if ka < 2 {
             return;
         }
@@ -311,18 +352,22 @@ impl Aggregation {
         for (s, &c) in self.coarse.iter_mut().zip(&self.class) {
             *s = self.active[c as usize];
         }
-        // sys = Cᵀ: row J holds the balance equation of class J. Row i of
-        // Mᵀ lists the entries M_ji, which flow from class(j) to class(i).
-        let mut sys = vec![0.0; ka * ka];
+        // Dropping empty classes keeps the order, so the band still holds.
+        let (lo, w) = (self.lower, self.lower + self.upper + 1);
+        let band = &mut self.band[..ka * w];
+        band.fill(0.0);
+        // Row J of Cᵀ is the balance equation of class J. Row i of Mᵀ
+        // lists the entries M_ji, which flow from class(j) to class(i);
+        // column `from` of row `to` sits at offset `from + lo − to`.
         for (i, &to) in self.coarse.iter().enumerate() {
             if to == OUT {
                 continue;
             }
-            let eq = &mut sys[to as usize * ka..(to as usize + 1) * ka];
+            let row = &mut band[to as usize * w..(to as usize + 1) * w];
             for (j, v) in mt.row(i) {
                 let from = self.coarse[j];
                 if from != OUT {
-                    eq[from as usize] += x[j] * v;
+                    row[from as usize + lo - to as usize] += x[j] * v;
                 }
             }
         }
@@ -330,30 +375,93 @@ impl Aggregation {
             if a == OUT {
                 continue;
             }
-            let a = a as usize;
-            for to in 0..ka {
-                sys[to * ka + a] /= self.mass[c];
+            let (a, inv) = (a as usize, 1.0 / self.mass[c]);
+            for to in a.saturating_sub(self.upper)..ka.min(a + lo + 1) {
+                band[to * w + a + lo - to] *= inv;
             }
-            // Replace the first equation by the normalization.
-            sys[a] = self.wmass[c] / self.mass[c];
         }
-        let mut rhs = vec![0.0; ka];
-        rhs[0] = 1.0;
-        let solved = Matrix::from_vec(ka, ka, sys)
-            .and_then(|sys| Lu::new(&sys))
-            .and_then(|lu| lu.solve_vec(&rhs));
-        let y = match solved {
-            Ok(y) if y.iter().all(|&v| v.is_finite() && v > 0.0) => y,
-            _ => return,
-        };
-        // Per class, the factor y_I / ξ_I (1 for classes left out).
+        let y = &mut self.y[..ka];
+        if !solve_fixing_first(band, ka, lo, self.upper, y) {
+            return;
+        }
+        let s: f64 = y.iter().zip(&self.omega).map(|(a, b)| a * b).sum();
+        if !(s.is_finite() && s > 0.0) || y.iter().any(|&v| !(v.is_finite() && v > 0.0)) {
+            return;
+        }
+        // Per class, the factor y_I / (s ξ_I) (1 for classes left out).
         for (m, &a) in self.mass.iter_mut().zip(&self.active) {
-            *m = if a == OUT { 1.0 } else { y[a as usize] / *m };
+            *m = if a == OUT {
+                1.0
+            } else {
+                y[a as usize] / (s * *m)
+            };
         }
         for (xi, &c) in x.iter_mut().zip(&self.class) {
             *xi *= self.mass[c as usize];
         }
     }
+}
+
+/// Band `(lower, upper)` of the coarse system over `mt` under `class`:
+/// the largest `class(i) − class(j)` and `class(j) − class(i)` over the
+/// entries `(i, j)` of `mt`.
+fn band_of(mt: &CsrMatrix, class: &[u32]) -> (usize, usize) {
+    let (mut lower, mut upper) = (0, 0);
+    for (i, &ci) in class.iter().enumerate() {
+        for (j, _) in mt.row(i) {
+            let cj = class[j];
+            lower = lower.max(ci.saturating_sub(cj));
+            upper = upper.max(cj.saturating_sub(ci));
+        }
+    }
+    (lower as usize, upper as usize)
+}
+
+/// Solves `A y = 0` with `y₀ = 1` for the `k × k` band matrix `A` in
+/// row-major band storage (`lower` sub- and `upper` superdiagonals): row
+/// 0 is dropped, column 0 moves to the right-hand side, and the rest is
+/// eliminated inside the band without pivoting. Without pivoting the
+/// elimination creates no fill outside the band; it is stable for the
+/// column diagonally dominant Z-matrices the coarse chains give.
+/// Overwrites `a`; `false` on a zero or non-finite pivot.
+fn solve_fixing_first(a: &mut [f64], k: usize, lower: usize, upper: usize, y: &mut [f64]) -> bool {
+    let w = lower + upper + 1;
+    // Entry (r, c) lives at a[r·w + lower + c − r].
+    y[0] = 1.0;
+    for (r, yr) in y.iter_mut().enumerate().skip(1) {
+        *yr = if r <= lower {
+            -a[r * w + lower - r]
+        } else {
+            0.0
+        };
+    }
+    for p in 1..k {
+        let pivot = a[p * w + lower];
+        if pivot == 0.0 || !pivot.is_finite() {
+            return false;
+        }
+        let len = upper.min(k - 1 - p);
+        for r in p + 1..k.min(p + lower + 1) {
+            let (head, tail) = a.split_at_mut(r * w);
+            let f = tail[lower + p - r] / pivot;
+            if f == 0.0 {
+                continue;
+            }
+            let prow = &head[p * w + lower + 1..p * w + lower + 1 + len];
+            let rrow = &mut tail[lower + p + 1 - r..lower + p + 1 - r + len];
+            for (dst, &src) in rrow.iter_mut().zip(prow) {
+                *dst -= f * src;
+            }
+            y[r] -= f * y[p];
+        }
+    }
+    for p in (1..k).rev() {
+        let len = upper.min(k - 1 - p);
+        let row = &a[p * w + lower..p * w + lower + 1 + len];
+        let s: f64 = row[1..].iter().zip(&y[p + 1..]).map(|(a, b)| a * b).sum();
+        y[p] = (y[p] - s) / row[0];
+    }
+    true
 }
 
 /// `‖π M‖∞ = ‖Mᵀ πᵀ‖∞`.
@@ -375,7 +483,7 @@ fn normalize(x: &mut [f64], weights: &[f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CooBuilder;
+    use crate::{CooBuilder, Lu, Matrix};
 
     /// Birth–death generator transposed, with uniform weights.
     fn bd_mt(rates: &[(f64, f64)]) -> CsrMatrix {
@@ -599,25 +707,139 @@ mod tests {
         assert_eq!(one, plain);
     }
 
+    /// A birth–death ring: the M/M/1 rates of [`mm1_rates`] plus a
+    /// jump between the two ends, which makes every class talk to the
+    /// first and last.
+    fn ring_mt(rho: f64, n: usize) -> CsrMatrix {
+        let mut q = vec![vec![0.0; n]; n];
+        for i in 0..n - 1 {
+            q[i][i + 1] = rho;
+            q[i + 1][i] = 1.0;
+        }
+        q[n - 1][0] = 0.5;
+        q[0][n - 1] = 0.25;
+        generator_mt(&q)
+    }
+
+    /// `Mᵀ` of the generator with off-diagonal rates `q`.
+    fn generator_mt(q: &[Vec<f64>]) -> CsrMatrix {
+        let n = q.len();
+        let mut mt = CooBuilder::new(n, n);
+        for (i, row) in q.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v > 0.0 {
+                    mt.add(j, i, v).unwrap();
+                }
+            }
+            mt.add(i, i, -row.iter().sum::<f64>()).unwrap();
+        }
+        mt.build()
+    }
+
     #[test]
     fn class_merging_caps_the_coarse_system() {
-        // 3·nnz = 3·118 → at most 7 classes; 40 labels merge in runs of 6.
+        // The ring's band is full: 40 classes would cost 40·40·40 flops
+        // against 3·nnz = 360. Runs of 7 labels leave 6 classes, whose
+        // full band costs 6·6·6 = 216.
+        let mt = ring_mt(0.9, 40);
+        assert_eq!(mt.nnz(), 120);
+        let labels: Vec<u32> = (0..40).map(|i| 2 * i).collect();
+        let agg = Aggregation::new(&labels, &mt).unwrap();
+        let k = agg.mass.len();
+        assert_eq!(k, 6);
+        assert_eq!((agg.lower, agg.upper), (5, 5));
+        assert!(k * (agg.lower + 1) * (agg.upper + 1) <= 3 * mt.nnz());
+        assert_eq!(&agg.class[..8], &[0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(agg.class[39], 5);
+        // Merged classes still converge to the exact answer.
+        let o = GsOptions {
+            classes: Some(&labels),
+            ..opts(1e-13, 10_000)
+        };
+        let sol = null_vector_gs(&mt, &vec![1.0; 40], &o).unwrap();
+        for (i, (&got, &want)) in sol.x.iter().zip(&gth(&mt)).enumerate() {
+            assert!((got - want).abs() < 1e-12, "state {i}: {got} vs GTH {want}");
+        }
+    }
+
+    #[test]
+    fn narrow_band_keeps_every_class() {
+        // A birth–death chain's coarse band is (1, 1): 40 classes cost
+        // 40·2·2 = 160 ≤ 3·nnz = 354, so no label is merged.
         let mt = bd_mt(&mm1_rates(0.9, 40));
         let labels: Vec<u32> = (0..40).map(|i| 2 * i).collect();
-        let agg = Aggregation::new(&labels, mt.nnz()).unwrap();
-        assert_eq!(mt.nnz(), 118);
-        let k = agg.mass.len();
-        assert_eq!(k, 7);
-        assert!(k.pow(3) <= 3 * mt.nnz());
-        assert_eq!(&agg.class[..7], &[0, 0, 0, 0, 0, 0, 1]);
-        assert_eq!(agg.class[39], 6);
-        // Merged classes still converge to the geometric answer.
+        let agg = Aggregation::new(&labels, &mt).unwrap();
+        assert_eq!(agg.mass.len(), 40);
+        assert_eq!((agg.lower, agg.upper), (1, 1));
+        assert_eq!(agg.class, (0..40).collect::<Vec<u32>>());
         let o = GsOptions {
             classes: Some(&labels),
             ..opts(1e-13, 10_000)
         };
         let sol = null_vector_gs(&mt, &vec![1.0; 40], &o).unwrap();
         assert!((sol.x[1] / sol.x[0] - 0.9).abs() < 1e-9);
+    }
+
+    #[test]
+    fn band_step_matches_a_dense_coarse_solve() {
+        // Arrivals of one or two jobs, single departures: the balance
+        // equation of state i involves states i−2 ..= i+1.
+        let n = 12;
+        let mut q = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            if i + 1 < n {
+                q[i][i + 1] = 0.4 + 0.05 * i as f64;
+            }
+            if i + 2 < n {
+                q[i][i + 2] = 0.2;
+            }
+            if i > 0 {
+                q[i][i - 1] = 1.0;
+            }
+        }
+        let mt = generator_mt(&q);
+        let labels: Vec<u32> = (0..n as u32).collect();
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 + 0.1 * i as f64).collect();
+        let mut agg = Aggregation::new(&labels, &mt).unwrap();
+        let k = agg.mass.len();
+        assert_eq!((k, agg.lower, agg.upper), (12, 2, 1));
+        // Any positive iterate that is not stationary.
+        let x0: Vec<f64> = (0..n).map(|i| 1.0 + ((7 * i) % 5) as f64).collect();
+        let mut x = x0.clone();
+        agg.step(&mt, &weights, &mut x);
+
+        // The same coarse chain, dense: C[I][J] = Σ_{i∈I} x_i Σ_{j∈J} M_ij / ξ_I,
+        // solved with its first equation replaced by Σ y_I ω_I = 1.
+        let class = |i: usize| labels[i] as usize;
+        let mut xi = vec![0.0; k];
+        let mut wxi = vec![0.0; k];
+        for i in 0..n {
+            xi[class(i)] += x0[i];
+            wxi[class(i)] += weights[i] * x0[i];
+        }
+        let m = mt.to_dense().transpose();
+        let mut ct = Matrix::zeros(k, k);
+        for i in 0..n {
+            for j in 0..n {
+                ct[(class(j), class(i))] += x0[i] * m[(i, j)] / xi[class(i)];
+            }
+        }
+        for c in 0..k {
+            ct[(0, c)] = wxi[c] / xi[c];
+        }
+        let mut rhs = vec![0.0; k];
+        rhs[0] = 1.0;
+        let y = Lu::new(&ct).unwrap().solve_vec(&rhs).unwrap();
+        let mut got = vec![0.0; k];
+        for i in 0..n {
+            got[class(i)] += x[i];
+        }
+        for (c, (&g, &want)) in got.iter().zip(&y).enumerate() {
+            assert!(
+                (g - want).abs() < 1e-13 * want,
+                "class {c}: {g} vs dense {want}"
+            );
+        }
     }
 
     #[test]

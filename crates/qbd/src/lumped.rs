@@ -482,10 +482,12 @@ impl SparseQbdBlocks {
         let m = self.level_len();
         let mut levels = opts.initial_levels.max(2);
         let mut start = None;
+        let mut total_sweeps = 0;
         loop {
             opts.budget
                 .check("decay_tail_truncation", levels, f64::NAN)?;
             let gs = self.solve_truncation(levels, start.as_deref(), opts)?;
+            total_sweeps += gs.sweeps;
             let level = |l: usize| &gs.x[nb + l * m..nb + (l + 1) * m];
             let mass = |l: usize| -> f64 { level(l).iter().sum() };
             let (m_lo, m_hi) = (mass(levels - 2), mass(levels - 1));
@@ -510,6 +512,7 @@ impl SparseQbdBlocks {
                     decay,
                     residual: gs.residual,
                     sweeps: gs.sweeps,
+                    total_sweeps,
                 });
             }
             if levels >= opts.max_levels {
@@ -618,6 +621,7 @@ pub struct TruncatedStationary {
     decay: f64,
     residual: f64,
     sweeps: usize,
+    total_sweeps: usize,
 }
 
 impl TruncatedStationary {
@@ -645,9 +649,17 @@ impl TruncatedStationary {
         self.residual
     }
 
-    /// Gauss–Seidel sweeps used by the accepted round.
+    /// Gauss–Seidel sweeps of the accepted (last) truncation round
+    /// only; see [`TruncatedStationary::total_sweeps`] for the cost of
+    /// the whole solve.
     pub fn sweeps(&self) -> usize {
         self.sweeps
+    }
+
+    /// Gauss–Seidel sweeps of every truncation round together, the
+    /// accepted one included.
+    pub fn total_sweeps(&self) -> usize {
+        self.total_sweeps
     }
 
     /// Total retained probability mass (1 up to round-off).
