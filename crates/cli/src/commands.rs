@@ -69,12 +69,15 @@ pub fn bounds(args: &[String]) -> CmdResult {
     finish(&table, args)
 }
 
-/// `slb sweep` — either the declarative engine (`slb sweep <spec.toml>`)
-/// or, with flags only, the legacy one-panel utilization sweep.
+const SWEEP_USAGE: &str =
+    "usage: slb sweep <spec.toml> [FLAGS] (the Figure-10 panels are experiments/fig10.toml)";
+
+/// `slb sweep <spec.toml>` — the declarative engine. A spec path is
+/// required; the Figure-10 panels are `experiments/fig10.toml`.
 pub fn sweep(args: &[String]) -> CmdResult {
     match args.first() {
         Some(first) if !first.starts_with("--") => sweep_spec(first, &args[1..]),
-        _ => sweep_panel(args),
+        _ => Err(SWEEP_USAGE.into()),
     }
 }
 
@@ -163,30 +166,6 @@ fn sweep_spec(path: &str, args: &[String]) -> CmdResult {
     std::fs::write(&out, body).map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {out}");
     Ok(())
-}
-
-/// The legacy flag form: bounds across utilizations (a Figure-10 panel).
-fn sweep_panel(args: &[String]) -> CmdResult {
-    let n: usize = arg_parse(args, "--n", 3);
-    let d: usize = arg_parse(args, "--d", 2);
-    let t: u32 = arg_parse(args, "--t", 3);
-    let points: usize = arg_parse(args, "--points", 9);
-    if points < 2 {
-        return Err("need at least 2 sweep points".into());
-    }
-
-    println!("SQ({d}) delay bounds vs utilization, N = {n}, T = {t}\n");
-    let mut table = Table::new(["rho", "lower", "upper", "asymptotic"]);
-    for i in 1..=points {
-        let rho = i as f64 / (points as f64 + 1.0);
-        let sqd = Sqd::new(n, d, rho).map_err(|e| e.to_string())?;
-        let lb = sqd.lower_bound(t).map_err(|e| e.to_string())?;
-        let ub = sqd
-            .upper_bound(t)
-            .map_or("unstable".to_string(), |r| f4(r.delay));
-        table.push([f4(rho), f4(lb.delay), ub, f4(sqd.asymptotic_delay())]);
-    }
-    finish(&table, args)
 }
 
 /// `slb serve` — run the long-running capacity-planning service until
@@ -539,7 +518,6 @@ mod tests {
     #[test]
     fn all_commands_run_on_defaults() {
         assert_eq!(bounds(&argv("--n 3 --d 2 --rho 0.6 --t 2")), Ok(()));
-        assert_eq!(sweep(&argv("--points 3 --t 2")), Ok(()));
         assert_eq!(dist(&argv("--rho 0.6 --t 2")), Ok(()));
         assert_eq!(
             simulate(&argv("--jobs 20000 --warmup 2000 --rho 0.6")),
@@ -587,7 +565,10 @@ mod tests {
     #[test]
     fn bad_inputs_reported_not_panicked() {
         assert!(bounds(&argv("--rho 1.5")).is_err());
-        assert!(sweep(&argv("--points 1")).is_err());
+        // The flag-only form is gone: a spec path is required.
+        let err = sweep(&argv("--points 3 --t 2")).unwrap_err();
+        assert!(err.contains("experiments/fig10.toml"), "{err}");
+        assert!(sweep(&[]).is_err());
         assert!(sigma(&argv("--law weird")).is_err());
         assert!(sigma(&argv("--rho 1.2")).is_err());
         assert!(simulate(&argv("--policy nope")).is_err());

@@ -80,6 +80,53 @@ pub struct Request {
     pub body: String,
 }
 
+/// Why [`read_request`] produced no request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadError {
+    /// The request's wall-clock deadline passed before it was read in
+    /// full (a [`DeadlineStream`] read failed with
+    /// [`std::io::ErrorKind::TimedOut`]). The server answers `503`.
+    Deadline,
+    /// The bytes are not a request this server accepts, or the socket
+    /// failed mid-request. The server answers `400` with this message.
+    Malformed(String),
+}
+
+impl ReadError {
+    /// Classifies a failed read: a timeout is the deadline, anything
+    /// else is described under `context`.
+    fn from_io(e: &std::io::Error, context: &str) -> ReadError {
+        if e.kind() == std::io::ErrorKind::TimedOut {
+            ReadError::Deadline
+        } else {
+            ReadError::Malformed(format!("{context}: {e}"))
+        }
+    }
+}
+
+impl std::fmt::Display for ReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReadError::Deadline => f.write_str("request deadline exceeded"),
+            ReadError::Malformed(message) => f.write_str(message),
+        }
+    }
+}
+
+impl std::error::Error for ReadError {}
+
+impl From<&str> for ReadError {
+    fn from(message: &str) -> Self {
+        ReadError::Malformed(message.to_string())
+    }
+}
+
+impl From<String> for ReadError {
+    fn from(message: String) -> Self {
+        ReadError::Malformed(message)
+    }
+}
+
 /// Reads one request from `reader`.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream before any request byte
@@ -87,9 +134,10 @@ pub struct Request {
 ///
 /// # Errors
 ///
-/// Returns a message describing the malformation (the server turns
-/// these into 400 responses).
-pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String> {
+/// [`ReadError::Deadline`] when a read times out (the server turns it
+/// into a 503), otherwise [`ReadError::Malformed`] describing the
+/// malformation (a 400).
+pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, ReadError> {
     let request_line = match read_line(reader, MAX_HEAD)? {
         None => return Ok(None),
         Some(line) if line.is_empty() => return Err("empty request line".into()),
@@ -105,7 +153,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
         .next()
         .ok_or_else(|| format!("malformed request line '{request_line}'"))?;
     if !version.starts_with("HTTP/1.") || parts.next().is_some() {
-        return Err(format!("unsupported protocol '{version}'"));
+        return Err(format!("unsupported protocol '{version}'").into());
     }
 
     let mut content_length = 0usize;
@@ -121,7 +169,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
             break;
         }
         let Some((name, value)) = line.split_once(':') else {
-            return Err(format!("malformed header line '{line}'"));
+            return Err(format!("malformed header line '{line}'").into());
         };
         if name.trim().eq_ignore_ascii_case("content-length") {
             content_length = value
@@ -129,7 +177,7 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
                 .parse()
                 .map_err(|_| format!("bad content-length '{}'", value.trim()))?;
             if content_length > MAX_BODY {
-                return Err(format!("body of {content_length} bytes exceeds limit"));
+                return Err(format!("body of {content_length} bytes exceeds limit").into());
             }
         }
     }
@@ -137,20 +185,20 @@ pub fn read_request(reader: &mut impl BufRead) -> Result<Option<Request>, String
     let mut body = vec![0u8; content_length];
     reader
         .read_exact(&mut body)
-        .map_err(|e| format!("reading {content_length}-byte body: {e}"))?;
-    let body = String::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
+        .map_err(|e| ReadError::from_io(&e, &format!("reading {content_length}-byte body")))?;
+    let body = String::from_utf8(body).map_err(|_| "body is not valid UTF-8")?;
     Ok(Some(Request { method, path, body }))
 }
 
 /// Reads one CRLF (or bare-LF) terminated line, without the terminator.
 /// `Ok(None)` = end of stream before any byte.
-fn read_line(reader: &mut impl BufRead, limit: usize) -> Result<Option<String>, String> {
+fn read_line(reader: &mut impl BufRead, limit: usize) -> Result<Option<String>, ReadError> {
     let mut line = Vec::new();
     let n = reader
         .by_ref()
         .take(limit as u64 + 1)
         .read_until(b'\n', &mut line)
-        .map_err(|e| format!("reading request: {e}"))?;
+        .map_err(|e| ReadError::from_io(&e, "reading request"))?;
     if n == 0 {
         return Ok(None);
     }
@@ -163,7 +211,7 @@ fn read_line(reader: &mut impl BufRead, limit: usize) -> Result<Option<String>, 
     }
     String::from_utf8(line)
         .map(Some)
-        .map_err(|_| "request head is not valid UTF-8".to_string())
+        .map_err(|_| "request head is not valid UTF-8".into())
 }
 
 /// The canonical reason phrase for the status codes this server emits.
@@ -236,7 +284,9 @@ pub type FullResponse = (u16, Vec<(String, String)>, String);
 ///
 /// Returns a message when the response is malformed or truncated.
 pub fn read_response_full(reader: &mut impl BufRead) -> Result<FullResponse, String> {
-    let status_line = read_line(reader, MAX_HEAD)?.ok_or("empty response")?;
+    let status_line = read_line(reader, MAX_HEAD)
+        .map_err(|e| e.to_string())?
+        .ok_or("empty response")?;
     let mut parts = status_line.split(' ');
     let version = parts.next().unwrap_or_default();
     if !version.starts_with("HTTP/1.") {
@@ -250,7 +300,9 @@ pub fn read_response_full(reader: &mut impl BufRead) -> Result<FullResponse, Str
     let mut content_length: Option<usize> = None;
     let mut headers = Vec::new();
     loop {
-        let line = read_line(reader, MAX_HEAD)?.ok_or("connection closed inside headers")?;
+        let line = read_line(reader, MAX_HEAD)
+            .map_err(|e| e.to_string())?
+            .ok_or("connection closed inside headers")?;
         if line.is_empty() {
             break;
         }
@@ -292,7 +344,7 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Option<Request>, String> {
+    fn parse(raw: &str) -> Result<Option<Request>, ReadError> {
         read_request(&mut BufReader::new(raw.as_bytes()))
     }
 
@@ -315,12 +367,35 @@ mod tests {
     }
 
     #[test]
+    fn read_past_its_deadline_is_a_deadline_error() {
+        use std::net::TcpListener;
+
+        // A client that connects and then says nothing: the read times
+        // out, and the error is typed, whatever its message says.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let silent = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let deadline = Instant::now() + Duration::from_millis(50);
+        let mut reader = BufReader::new(DeadlineStream::new(&stream, deadline));
+        assert_eq!(read_request(&mut reader), Err(ReadError::Deadline));
+        // Once spent, the deadline fails the next read without waiting.
+        let mut reader = BufReader::new(DeadlineStream::new(&stream, deadline));
+        assert_eq!(read_request(&mut reader), Err(ReadError::Deadline));
+        drop(silent);
+    }
+
+    #[test]
     fn malformed_requests_are_errors() {
         assert!(parse("GET\r\n\r\n").is_err());
         assert!(parse("GET / SMTP/1.0\r\n\r\n").is_err());
         assert!(parse("GET / HTTP/1.1\r\nbad header\r\n\r\n").is_err());
         assert!(parse("GET / HTTP/1.1\r\nContent-Length: zebra\r\n\r\n").is_err());
-        assert!(parse("POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort").is_err());
+        // A truncated body is malformed, not a deadline: only a timed-out
+        // read is the deadline.
+        assert!(matches!(
+            parse("POST / HTTP/1.1\r\nContent-Length: 99\r\n\r\nshort"),
+            Err(ReadError::Malformed(_))
+        ));
         let huge = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         assert!(parse(&huge).is_err());
     }
@@ -377,10 +452,7 @@ mod tests {
         let deadline = started + Duration::from_millis(300);
         let mut reader = BufReader::new(DeadlineStream::new(&stream, deadline));
         let err = read_request(&mut reader).unwrap_err();
-        assert!(
-            err.contains("request deadline exceeded"),
-            "unexpected error: {err}"
-        );
+        assert_eq!(err, ReadError::Deadline, "unexpected error: {err}");
         let elapsed = started.elapsed();
         assert!(
             elapsed >= Duration::from_millis(290) && elapsed < Duration::from_secs(5),

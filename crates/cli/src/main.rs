@@ -34,9 +34,8 @@ COMMANDS:
   sweep      Run a declarative scenario sweep (cached, multithreaded)
              <spec.toml> [--smoke] [--threads N (alias --jobs)]
              [--out file.csv|file.json] [--check] [--no-cache]
-             [--cache-dir dir]  (simulation budget comes from the spec)
-             Flag-only form sweeps one Figure-10 panel:
-             --n --d --t [--points 9] [--csv out.csv]
+             [--cache-dir dir]  (simulation budget comes from the spec;
+             the Figure-10 panels are experiments/fig10.toml)
   query      Answer one typed query: bounds, service percentiles, or the
              smallest N meeting a delay SLO (capacity planning)
              --kind bounds|service|capacity, then per kind:

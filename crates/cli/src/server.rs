@@ -24,6 +24,14 @@
 //! SIGTERM — stops accepting, drains every in-flight request through
 //! [`WorkPool::shutdown`], and returns from [`Server::run`].
 //!
+//! The accept loop blocks in `accept` on a blocking listener, so a
+//! request costs what its handler costs. Shutdown wakes the loop by
+//! connecting once to the listener's own address (loopback for a
+//! wildcard bind); `/v1/shutdown` makes that connection itself, and a
+//! watcher thread makes it when it sees SIGINT/SIGTERM. The loop drops
+//! the wake connection without admitting it, so it never shows in
+//! `in_flight`, `/stats` or the pool.
+//!
 //! # Overload safety
 //!
 //! Three mechanisms keep a saturated or hostile client from taking the
@@ -48,7 +56,7 @@
 //!   connection are unaffected.
 
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -122,6 +130,10 @@ struct ServerState {
     /// Shed threads currently running.
     shed: AtomicUsize,
     shutdown: AtomicBool,
+    /// Where a connect wakes the accept loop out of its blocking
+    /// `accept` (see [`wake_address`]); `None` in unit tests that route
+    /// without a listener.
+    wake: Option<SocketAddr>,
     started: Instant,
     threads: usize,
     max_inflight: usize,
@@ -164,9 +176,9 @@ impl Server {
     pub fn bind(opts: &ServeOptions) -> Result<Server, String> {
         let listener =
             TcpListener::bind(&opts.addr).map_err(|e| format!("binding {}: {e}", opts.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("nonblocking listener: {e}"))?;
+        let wake = listener
+            .local_addr()
+            .map_err(|e| format!("local addr of {}: {e}", opts.addr))?;
         let root = opts
             .cache_dir
             .clone()
@@ -196,6 +208,7 @@ impl Server {
                 in_flight: AtomicUsize::new(0),
                 shed: AtomicUsize::new(0),
                 shutdown: AtomicBool::new(false),
+                wake: Some(wake_address(wake)),
                 started: Instant::now(),
                 threads,
                 max_inflight,
@@ -221,24 +234,35 @@ impl Server {
     /// Runs the accept loop until `/v1/shutdown`, SIGINT or SIGTERM,
     /// then drains in-flight requests and returns. Admitted connections
     /// are handled on the pool; connections beyond `max_inflight` go to
-    /// capped shed threads (see the module docs). The loop polls the
-    /// nonblocking listener so a shutdown request never waits on a new
-    /// connection.
+    /// capped shed threads (see the module docs).
+    ///
+    /// The loop blocks in `accept` and is woken for shutdown as the
+    /// module docs describe. The watcher thread that wakes it for
+    /// SIGINT/SIGTERM is started and joined here. It polls the signal
+    /// flag every 50 ms because a signal never ends a blocked `accept`
+    /// (glibc's `signal(2)` sets `SA_RESTART`, and std retries `EINTR`).
     ///
     /// # Errors
     ///
-    /// Currently infallible after a successful bind; the `Result`
-    /// leaves room for fatal accept errors.
+    /// Returns a message when the watcher thread cannot be spawned.
     pub fn run(self) -> Result<(), String> {
-        loop {
+        let stopped = Arc::new(AtomicBool::new(false));
+        let watcher = {
+            let stopped = Arc::clone(&stopped);
+            let state = Arc::clone(&self.state);
+            std::thread::Builder::new()
+                .name("slb-sigwatch".into())
+                .spawn(move || watch_signals(&state, &stopped))
+                .map_err(|e| format!("spawning the signal watcher: {e}"))?
+        };
+        for conn in self.listener.incoming() {
+            // Re-checked after every accept: the connection that woke
+            // the loop for shutdown is dropped here, never admitted.
             if self.state.shutdown.load(Ordering::SeqCst) || sigint::triggered() {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => admit_or_shed(stream, &self.state),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+            match conn {
+                Ok(stream) => admit_or_shed(stream, &self.state),
                 Err(e) => {
                     // Transient accept failures (e.g. EMFILE) should not
                     // kill the daemon; back off and keep serving.
@@ -247,12 +271,56 @@ impl Server {
                 }
             }
         }
+        stopped.store(true, Ordering::SeqCst);
+        watcher.thread().unpark();
+        let _ = watcher.join();
         let pool = lock_pool(&self.state).take();
         if let Some(pool) = pool {
             pool.shutdown();
         }
         Ok(())
     }
+}
+
+/// How often the watcher thread checks for SIGINT/SIGTERM. It bounds
+/// how long a signalled idle daemon takes to start draining; requests
+/// never wait on it.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
+
+/// The signal watcher: once SIGINT/SIGTERM has arrived (or the shutdown
+/// flag is set, in case the `/v1/shutdown` wake-up was lost), wakes the
+/// accept loop every [`SIGNAL_POLL`] until [`Server::run`] reports the
+/// loop `stopped` and unparks this thread.
+fn watch_signals(state: &ServerState, stopped: &AtomicBool) {
+    while !stopped.load(Ordering::SeqCst) {
+        if state.shutdown.load(Ordering::SeqCst) || sigint::triggered() {
+            if let Some(addr) = state.wake {
+                wake(addr);
+            }
+        }
+        std::thread::park_timeout(SIGNAL_POLL);
+    }
+}
+
+/// The address that reaches a listener bound to `bound`: itself, or
+/// loopback on the same port for a wildcard bind (`0.0.0.0`, `::`),
+/// which is not a connectable destination everywhere.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Unblocks the accept loop with one connection to `addr`, closed at
+/// once. A failure is ignored: the loop also stops at the next real
+/// connection, and the signal watcher keeps waking it.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// Admission control at the accept boundary: under the limit, the
@@ -382,10 +450,8 @@ fn handle_connection(stream: TcpStream, state: &ServerState) {
             }
         }
         Ok(None) => return, // client connected and left; nothing to answer
-        Err(e) if e.contains("request deadline exceeded") => {
-            (503, error_body("request deadline exceeded"))
-        }
-        Err(e) => (400, error_body(&e)),
+        Err(http::ReadError::Deadline) => (503, error_body("request deadline exceeded")),
+        Err(http::ReadError::Malformed(e)) => (400, error_body(&e)),
     };
     state.requests.fetch_add(1, Ordering::Relaxed);
     if status >= 400 {
@@ -407,6 +473,9 @@ fn route(request: &http::Request, state: &ServerState, deadline: Instant) -> (u1
         ("POST", "/v1/query") => answer_query(&request.body, state, deadline),
         ("POST", "/v1/shutdown") => {
             state.shutdown.store(true, Ordering::SeqCst);
+            if let Some(addr) = state.wake {
+                wake(addr);
+            }
             (200, "{\"ok\":true,\"shutting_down\":true}".to_string())
         }
         (_, "/healthz" | "/stats" | "/v1/query" | "/v1/shutdown") => (
@@ -540,6 +609,7 @@ mod tests {
             in_flight: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            wake: None,
             started: Instant::now(),
             threads: 1,
             max_inflight: 4,
@@ -598,6 +668,15 @@ mod tests {
         assert_eq!(status, 200);
         assert!(state.shutdown.load(Ordering::SeqCst));
         let _ = std::fs::remove_dir_all(state.store.root());
+    }
+
+    #[test]
+    fn wildcard_binds_are_woken_through_loopback() {
+        let wake = |addr: &str| wake_address(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7077"), "127.0.0.1:7077");
+        assert_eq!(wake("[::]:7077"), "[::1]:7077");
+        assert_eq!(wake("127.0.0.1:7077"), "127.0.0.1:7077");
+        assert_eq!(wake("192.0.2.5:80"), "192.0.2.5:80");
     }
 
     #[test]

@@ -18,6 +18,17 @@ struct Daemon {
     stdout: BufReader<std::process::ChildStdout>,
 }
 
+impl Drop for Daemon {
+    /// A test that fails before shutting its daemon down must not leave
+    /// the process running.
+    fn drop(&mut self) {
+        if matches!(self.child.try_wait(), Ok(None)) {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 fn start_daemon(cache_dir: &std::path::Path) -> Daemon {
     start_daemon_with(cache_dir, &[], None)
 }
@@ -25,11 +36,21 @@ fn start_daemon(cache_dir: &std::path::Path) -> Daemon {
 /// [`start_daemon`] with extra `slb serve` flags and, optionally, a
 /// fault spec armed through `SLB_FAULTS`.
 fn start_daemon_with(cache_dir: &std::path::Path, extra: &[&str], faults: Option<&str>) -> Daemon {
+    start_daemon_at("127.0.0.1:0", cache_dir, extra, faults)
+}
+
+/// [`start_daemon_with`] bound to `addr` instead of loopback.
+fn start_daemon_at(
+    addr: &str,
+    cache_dir: &std::path::Path,
+    extra: &[&str],
+    faults: Option<&str>,
+) -> Daemon {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_slb"));
     cmd.args([
         "serve",
         "--addr",
-        "127.0.0.1:0",
+        addr,
         "--threads",
         "2",
         "--cache-dir",
@@ -63,8 +84,13 @@ fn start_daemon_with(cache_dir: &std::path::Path, extra: &[&str], faults: Option
     }
 }
 
-fn wait_exit(mut daemon: Daemon) -> (std::process::ExitStatus, String) {
-    let deadline = Instant::now() + Duration::from_secs(30);
+fn wait_exit(daemon: Daemon) -> (std::process::ExitStatus, String) {
+    wait_exit_within(daemon, Duration::from_secs(30))
+}
+
+/// [`wait_exit`] with its own limit on how long the exit may take.
+fn wait_exit_within(mut daemon: Daemon, limit: Duration) -> (std::process::ExitStatus, String) {
+    let deadline = Instant::now() + limit;
     loop {
         if let Some(status) = daemon.child.try_wait().expect("try_wait") {
             let mut rest = String::new();
@@ -325,6 +351,78 @@ fn sigint_shuts_down_gracefully() {
     assert!(kill.success());
     let (status, rest) = wait_exit(daemon);
     assert!(status.success(), "SIGINT exit: {status:?}");
+    assert!(rest.contains("drained and shut down"), "{rest:?}");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn sequential_requests_are_not_paced_by_the_accept_loop() {
+    // One connection per request, as `slb query --addr` makes them: each
+    // must be picked up when it connects, not when a poll next looks.
+    // An accept loop that sleeps 10 ms between empty polls needs about
+    // 500 ms for these 50.
+    let base = std::env::temp_dir().join(format!("slb-serve-pace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let daemon = start_daemon(&base);
+    let (status, _) = client::request(&daemon.addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+
+    let started = Instant::now();
+    for _ in 0..50 {
+        let (status, body) = client::request(&daemon.addr, "GET", "/healthz", None).unwrap();
+        assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "50 sequential /healthz requests took {elapsed:?}"
+    );
+
+    client::post_shutdown(&daemon.addr).unwrap();
+    let (status, _) = wait_exit(daemon);
+    assert!(status.success());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn sigint_while_idle_exits_promptly() {
+    // No request follows the signal: only the signal watcher can wake
+    // the accept loop out of its blocking `accept`.
+    let base = std::env::temp_dir().join(format!("slb-serve-idle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let daemon = start_daemon(&base);
+    // Let the daemon get past its banner and block in `accept`.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let kill = Command::new("kill")
+        .args(["-INT", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let (status, rest) = wait_exit_within(daemon, Duration::from_secs(2));
+    assert!(status.success(), "SIGINT exit: {status:?}");
+    assert!(rest.contains("drained and shut down"), "{rest:?}");
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn shutdown_wakes_a_wildcard_bound_daemon() {
+    // Bound to 0.0.0.0, the daemon wakes its accept loop through
+    // loopback on the same port.
+    let base = std::env::temp_dir().join(format!("slb-serve-wild-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).unwrap();
+    let daemon = start_daemon_at("0.0.0.0:0", &base, &[], None);
+    let port = daemon.addr.rsplit(':').next().unwrap().to_string();
+    let local = format!("127.0.0.1:{port}");
+    let (status, _) = client::request(&local, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+
+    client::post_shutdown(&local).unwrap();
+    let (status, rest) = wait_exit_within(daemon, Duration::from_secs(2));
+    assert!(status.success(), "shutdown exit: {status:?}");
     assert!(rest.contains("drained and shut down"), "{rest:?}");
     let _ = std::fs::remove_dir_all(&base);
 }
