@@ -91,8 +91,10 @@ fn bench_matmul(c: &mut Criterion) {
 /// engine): sparse block assembly and the Theorem-3 lower-bound solve
 /// at the grid's smallest panel (N = 16, T = 4, block m = 3876), plus
 /// assembly alone at N = 64, T = 3 (m = 45 760) where the CSR builder
-/// dominates. Solve time is Gauss–Seidel-bound, so these medians track
-/// exactly what the scaling sweep pays per row.
+/// dominates, and the truncated upper-bound solve (drift test plus
+/// level doubling) of a cold `bounds` query at N = 16, T = 3, ρ = 0.45.
+/// Solve time is Gauss–Seidel-bound, so these medians track exactly
+/// what the scaling sweep and the query path pay per row.
 fn bench_lumped(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
@@ -110,6 +112,10 @@ fn bench_lumped(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("lumped_decay", "N16_T4"), |b| {
         b.iter(|| sqd.decay_rate_lumped(BoundKind::Upper, 4).unwrap())
+    });
+    let query = Sqd::new(16, 2, 0.45).unwrap();
+    group.bench_function(BenchmarkId::new("lumped_upper", "N16_T3"), |b| {
+        b.iter(|| query.upper_bound_lumped(3).unwrap())
     });
     group.finish();
 }

@@ -10,8 +10,9 @@ use std::time::{Duration, Instant};
 
 /// A scaling-family grid whose points route through the occupancy-lumped
 /// solvers: every solve polls its budget, so the armed
-/// `solver.slow_iter` fault (1 ms sleep per poll) stretches each point
-/// to seconds — a wide, deterministic window for the mid-run SIGINT.
+/// `solver.slow_iter` fault (1 ms sleep per poll) stretches the grid to
+/// about 1.8 s of sleeps (some 1,700 polls, next to ~0.1 s of compute) —
+/// a deterministic window for the mid-run SIGINT, which lands at 1 s.
 const SPEC: &str = r#"
 [scenario]
 name = "resume-grid"
@@ -76,7 +77,7 @@ fn sigint_mid_sweep_then_resume_is_byte_identical_at_any_thread_count() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn slb sweep");
-    std::thread::sleep(Duration::from_millis(2500));
+    std::thread::sleep(Duration::from_millis(1000));
     let kill = Command::new("kill")
         .args(["-INT", &child.id().to_string()])
         .status()

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use slb_core::brute::BruteForce;
-use slb_core::{asymptotic, BoundKind, BoundModel, CoreError, Sqd};
+use slb_core::{asymptotic, BoundKind, BoundModel, CoreError, LumpedModel, Sqd};
 use slb_linalg::{power_iteration_sparse, Budget, CsrMatrix, Workspace};
 use slb_mapph::MapSqd;
 use slb_markov::{Map, PhaseType};
@@ -622,9 +622,10 @@ fn run_scaling(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     ]])
 }
 
-/// The exact lumped-QBD mean-delay sandwich of `sqd` at threshold `t`.
-/// Returns the lower- and upper-bound cells: the `unstable` cell (`inf`
-/// for `bounds`, `unstable` for `scaling`) where the upper model's drift
+/// The exact lumped-QBD mean-delay sandwich of `sqd` at threshold `t`,
+/// both bound models over one enumerated state space. Returns the
+/// lower- and upper-bound cells: the `unstable` cell (`inf` for
+/// `bounds`, `unstable` for `scaling`) where the upper model's drift
 /// condition fails — [`check_sandwich`] skips that side of the
 /// comparison — and `nonconverged` where a solver exhausted its
 /// iteration cap, which [`check_sandwich`] reports as a skipped row
@@ -642,12 +643,14 @@ fn lumped_sandwich(
         budget: budget.clone(),
         ..SparseSolveOptions::default()
     };
-    let lower = match sqd.lower_bound_lumped_with(t, &opts) {
+    let model = LumpedModel::new_budgeted(*sqd, BoundKind::Lower, t, budget)
+        .map_err(|e| format!("lumped lower bound: {e}"))?;
+    let lower = match model.solve_scalar_tail(&opts) {
         Ok(r) => f4(r.delay),
         Err(CoreError::NonConverged { .. }) => "nonconverged".to_string(),
         Err(e) => return Err(format!("lumped lower bound: {e}")),
     };
-    let upper = match sqd.upper_bound_lumped_with(t, &opts) {
+    let upper = match model.with_kind(BoundKind::Upper).solve_truncated(&opts) {
         Ok(r) => f4(r.delay),
         Err(CoreError::UpperBoundUnstable { .. }) => unstable.to_string(),
         Err(CoreError::NonConverged { .. }) => "nonconverged".to_string(),

@@ -5,17 +5,28 @@
 //! `π · w = 1` whose dimension reaches the hundreds of thousands; a dense
 //! LU factorization is out of the question there. The rows of `M` are
 //! CTMC-like (nonnegative off-diagonal rates, strictly negative diagonal)
-//! which makes the classical Gauss–Seidel splitting semiconvergent. Plain
-//! sweeps, however, resolve the *distribution of mass between* distant
-//! groups of states only slowly: a forward sweep moves mass about one
-//! transition per state, so the sweep count follows the chain's mixing
-//! time, not its utilization (the SQ(d) upper model at `N = 16, T = 3`
-//! needs 169 sweeps at `ρ = 0.05` and 919 at `ρ = 0.45`).
+//! which makes the classical Gauss–Seidel splitting semiconvergent.
+//!
+//! Every iteration is a *symmetric* sweep: a forward pass over the states
+//! followed by a backward pass (Stewart, *Introduction to the Numerical
+//! Solution of Markov Chains*, 1994, ch. 3). A forward pass carries mass
+//! up the state order through a whole chain of updates but down it by one
+//! transition only; the backward pass does the reverse, so an iteration
+//! moves mass both ways. One iteration costs two passes over `Mᵀ`. On the
+//! phase chain of the SQ(d) upper model at `N = 16, T = 3` (with the
+//! aggregation below) it needs 49 / 91 / 100 iterations at `ρ = 0.05 /
+//! 0.25 / 0.45`, where forward-only sweeps needed 340 / 262 / 219.
+//!
+//! Plain iterations, however, resolve the *distribution of mass between*
+//! distant groups of states only slowly: the iteration count follows the
+//! chain's mixing time, not its utilization (the truncated upper model at
+//! `N = 16, T = 3`, four levels, needs 45 iterations at `ρ = 0.05` and
+//! 454 at `ρ = 0.45`).
 //!
 //! Iterative aggregation/disaggregation (IAD; Takahashi 1975; Stewart,
 //! *Introduction to the Numerical Solution of Markov Chains*, 1994,
 //! ch. 6) fixes exactly that part. The caller partitions the states into
-//! classes ([`GsOptions::classes`]). Every fourth sweep the solver sums
+//! classes ([`GsOptions::classes`]). Every fourth iteration the solver sums
 //! the iterate into classes, builds the coarse `K × K` chain between
 //! them from the current within-class shape, solves it exactly, and
 //! rescales each class to its coarse mass. Gauss–Seidel then only has to
@@ -31,7 +42,7 @@
 //! a transition changes it by a few jobs): the balance equation of class
 //! `I` involves classes `I − bl ..= I + bu` only. The solver measures
 //! `(bl, bu)` over `Mᵀ` once per solve and eliminates inside the band,
-//! `K·(bl+1)·(bu+1)` flops against `nnz` for one sweep. While the band
+//! `K·(bl+1)·(bu+1)` flops against `nnz` for one pass. While the band
 //! solve costs more than `3·nnz` it merges adjacent class labels into
 //! runs, so labels should number the classes in an order where
 //! neighbours are close. A chain whose classes all talk to each other
@@ -40,16 +51,18 @@
 //!
 //! The solver consumes `Mᵀ` rather than `M`: row `i` of `Mᵀ` lists exactly
 //! the balance equation of state `i` (all inflow terms of `π M = 0`),
-//! which is what one sweep update needs contiguously.
+//! which is what one Gauss–Seidel update needs contiguously.
 
 use crate::budget::Budget;
 use crate::sparse::CsrMatrix;
 use crate::{LinalgError, Result};
 
-/// Sweeps between two aggregation/disaggregation steps (the first step
-/// runs before the first sweep). A step costs about two sweeps; on the
-/// SQ(d) bound models (`N = 16, T = 3`) periods 1 to 6 need nearly the
-/// same sweeps, and 4 takes the least time.
+/// Iterations between two aggregation/disaggregation steps (the first
+/// step runs before the first iteration). A step costs about two passes.
+/// On the SQ(d) bound models (`N = 16, T = 3`, the nine loads `ρ = 0.05
+/// … 0.45`) periods 1 to 8 need nearly the same iterations (588 to 659
+/// for the upper solves together); periods 1 and 2 pay for their extra
+/// steps, and 4 to 6 take about the same time.
 const IAD_PERIOD: usize = 4;
 
 /// A converged left null vector of a balance system; see
@@ -60,7 +73,8 @@ pub struct NullVector {
     pub x: Vec<f64>,
     /// Final true residual `‖π M‖∞`.
     pub residual: f64,
-    /// Gauss–Seidel sweeps performed.
+    /// Symmetric Gauss–Seidel iterations performed; each is two passes
+    /// over the matrix, one forward and one backward.
     pub sweeps: usize,
 }
 
@@ -69,10 +83,11 @@ pub struct NullVector {
 pub struct GsOptions<'a> {
     /// Scaled residual target `‖π M‖∞ / (‖M‖₁ · ‖π‖∞)`.
     pub tol: f64,
-    /// Sweep cap; the solve fails with [`LinalgError::NoConvergence`]
-    /// past it.
+    /// Cap on symmetric iterations (each one forward and one backward
+    /// pass); the solve fails with [`LinalgError::NoConvergence`] past
+    /// it.
     pub max_sweeps: usize,
-    /// Cooperative cancellation budget, polled once per sweep.
+    /// Cooperative cancellation budget, polled once per iteration.
     pub budget: Budget,
     /// Class label of every state, for the aggregation step; `None` (or
     /// a single label) runs plain Gauss–Seidel. Labels need not be dense:
@@ -95,20 +110,20 @@ impl Default for GsOptions<'_> {
     }
 }
 
-/// Solves `π M = 0`, `π · weights = 1`, `π ≥ 0` by Gauss–Seidel sweeps
-/// accelerated by aggregation/disaggregation over
-/// [`GsOptions::classes`], given the **transpose** `Mᵀ` of the balance
-/// matrix.
+/// Solves `π M = 0`, `π · weights = 1`, `π ≥ 0` by symmetric
+/// Gauss–Seidel iterations (a forward then a backward pass) accelerated
+/// by aggregation/disaggregation over [`GsOptions::classes`], given the
+/// **transpose** `Mᵀ` of the balance matrix.
 ///
 /// `M` must have CTMC balance structure: strictly negative diagonal and
-/// nonnegative off-diagonal entries (so the sweep preserves nonnegativity
+/// nonnegative off-diagonal entries (so the update preserves nonnegativity
 /// and the splitting is semiconvergent). Convergence is declared when the
 /// scaled residual `‖π M‖∞ / (‖M‖₁ · ‖π‖∞)` drops below
 /// [`GsOptions::tol`] and the true residual confirms it; the raw residual
 /// is reported in [`NullVector::residual`]. `weights` must be strictly
-/// positive. The budget is polled after every sweep's convergence test,
-/// so a sweep that converged is returned even if the budget expired
-/// during it.
+/// positive. The budget is polled after every iteration's convergence
+/// test, so an iteration that converged is returned even if the budget
+/// expired during it.
 ///
 /// # Errors
 ///
@@ -117,9 +132,10 @@ impl Default for GsOptions<'_> {
 ///   non-positive weights, or a class or start vector of the wrong
 ///   length (or a start vector that is negative, non-finite or zero).
 /// * [`LinalgError::NoConvergence`] if the scaled residual is still above
-///   the tolerance after [`GsOptions::max_sweeps`] sweeps.
-/// * [`LinalgError::Interrupted`] (carrying sweeps done, the latest sweep
-///   residual and elapsed time) when the budget trips first.
+///   the tolerance after [`GsOptions::max_sweeps`] iterations.
+/// * [`LinalgError::Interrupted`] (carrying iterations done, the latest
+///   backward-pass residual and elapsed time) when the budget trips
+///   first.
 ///
 /// # Examples
 ///
@@ -198,23 +214,18 @@ pub fn null_vector_gs(mt: &CsrMatrix, weights: &[f64], opts: &GsOptions) -> Resu
             }
         }
         sweeps += 1;
-        // One forward sweep. The pre-update row sum is the balance residual
-        // of equation i under the current (mixed old/new) iterate; its max
-        // converges to the true residual as the updates die out, giving a
-        // free convergence signal without a second pass over the matrix.
-        let mut sweep_res = 0.0_f64;
+        // One symmetric iteration: a forward pass, then a backward pass.
+        // The backward pass's pre-update row sums are the balance
+        // residuals of each equation under the current (mixed old/new)
+        // iterate; their max converges to the true residual as the
+        // updates die out, giving a free convergence signal without
+        // another pass over the matrix.
         for i in 0..n {
-            let mut off = 0.0;
-            let mut res_i = 0.0;
-            for (j, v) in mt.row(i) {
-                res_i += v * x[j];
-                if j != i {
-                    off += v * x[j];
-                }
-            }
-            sweep_res = sweep_res.max(res_i.abs());
-            // off ≥ 0 and diag < 0 keep the iterate nonnegative.
-            x[i] = -off / diag[i];
+            gs_update(mt, &diag, &mut x, i);
+        }
+        let mut sweep_res = 0.0_f64;
+        for i in (0..n).rev() {
+            sweep_res = sweep_res.max(gs_update(mt, &diag, &mut x, i).abs());
         }
         normalize(&mut x, weights);
         let x_inf = x.iter().fold(0.0_f64, |a, &b| a.max(b.abs()));
@@ -229,7 +240,7 @@ pub fn null_vector_gs(mt: &CsrMatrix, weights: &[f64], opts: &GsOptions) -> Resu
                 });
             }
         }
-        // Poll after the convergence test so a sweep that just
+        // Poll after the convergence test so an iteration that just
         // converged is returned rather than interrupted.
         opts.budget.check("null_vector_gs", sweeps, sweep_res)?;
     }
@@ -274,7 +285,7 @@ impl Aggregation {
     /// Compacts the labels to `0..k` and measures the band of the coarse
     /// system over `mt`; merges runs of adjacent labels while the band
     /// elimination (`k·(lower+1)·(upper+1)` flops) costs more than one
-    /// sweep over `nnz` entries, counted as `3·nnz`. `None` when fewer
+    /// pass over `nnz` entries, counted as `3·nnz`. `None` when fewer
     /// than two classes remain.
     fn new(labels: &[u32], mt: &CsrMatrix) -> Option<Self> {
         let span = labels.iter().max().map_or(0, |&l| l as usize + 1);
@@ -462,6 +473,17 @@ fn solve_fixing_first(a: &mut [f64], k: usize, lower: usize, upper: usize, y: &m
         y[p] = (y[p] - s) / row[0];
     }
     true
+}
+
+/// Solves balance equation `i` of `Mᵀ` for `x_i` in place; returns its
+/// residual before the update.
+#[inline]
+fn gs_update(mt: &CsrMatrix, diag: &[f64], x: &mut [f64], i: usize) -> f64 {
+    let res: f64 = mt.row(i).map(|(j, v)| v * x[j]).sum();
+    // The inflow `res − diag·x_i` is nonnegative up to round-off and
+    // diag < 0, so clamping at 0 keeps the iterate nonnegative.
+    x[i] = ((diag[i] * x[i] - res) / diag[i]).max(0.0);
+    res
 }
 
 /// `‖π M‖∞ = ‖Mᵀ πᵀ‖∞`.

@@ -66,7 +66,8 @@ pub struct SparseQbdBlocks {
 pub struct SparseSolveOptions {
     /// Scaled residual target `‖π M‖∞ / (‖M‖∞ ‖π‖∞)` for Gauss–Seidel.
     pub gs_tol: f64,
-    /// Sweep budget for one Gauss–Seidel solve.
+    /// Iteration cap for one Gauss–Seidel solve ([`GsOptions::max_sweeps`]:
+    /// each iteration is a forward and a backward pass).
     pub gs_max_sweeps: usize,
     /// Truncation target for [`SparseQbdBlocks::solve_decay_tail`]: the
     /// solve is accepted once the top retained level holds at most this
@@ -78,7 +79,7 @@ pub struct SparseSolveOptions {
     pub max_levels: usize,
     /// Cooperative cancellation budget for the solve: deadline, cancel
     /// token and fail-point triggers, polled once per Gauss–Seidel
-    /// sweep and once per truncation round. Defaults to
+    /// iteration and once per truncation round. Defaults to
     /// [`Budget::unlimited`].
     pub budget: Budget,
 }
@@ -347,7 +348,7 @@ impl SparseQbdBlocks {
     }
 
     /// The Gauss–Seidel solve behind
-    /// [`SparseQbdBlocks::phase_stationary`], with its sweep count and
+    /// [`SparseQbdBlocks::phase_stationary`], with its iteration count and
     /// residual, under a cooperative [`Budget`] — the phase chain is
     /// block-sized (`m` reaches six figures at production `N`), so its
     /// solve must be interruptible too. It aggregates over the level
@@ -596,7 +597,7 @@ pub(crate) fn add_csr_block_transposed(
 
 /// Extends a truncated solution `x` by `extra` levels of `m` states:
 /// each new level is the one below it scaled by `decay` (a zero decay
-/// leaves them empty for the first sweep to fill).
+/// leaves them empty for the first iteration to fill).
 fn extend_by_decay(mut x: Vec<f64>, m: usize, extra: usize, decay: f64) -> Vec<f64> {
     x.reserve(extra * m);
     for _ in 0..extra {
@@ -649,15 +650,16 @@ impl TruncatedStationary {
         self.residual
     }
 
-    /// Gauss–Seidel sweeps of the accepted (last) truncation round
-    /// only; see [`TruncatedStationary::total_sweeps`] for the cost of
-    /// the whole solve.
+    /// Symmetric Gauss–Seidel iterations of the accepted (last)
+    /// truncation round only, each one forward and one backward pass
+    /// ([`NullVector::sweeps`]); see [`TruncatedStationary::total_sweeps`]
+    /// for the cost of the whole solve.
     pub fn sweeps(&self) -> usize {
         self.sweeps
     }
 
-    /// Gauss–Seidel sweeps of every truncation round together, the
-    /// accepted one included.
+    /// Symmetric Gauss–Seidel iterations (two passes each) of every
+    /// truncation round together, the accepted one included.
     pub fn total_sweeps(&self) -> usize {
         self.total_sweeps
     }
