@@ -1,6 +1,7 @@
 //! Criterion bench: the dense numerical kernels on which every solver
 //! iteration spends its time — G-matrix algorithms, the stationary
-//! boundary solve, raw dense matmul, and simulator throughput.
+//! boundary solve, raw dense matmul, the occupancy-lumped solves, the
+//! Theorem-3 scalar-tail vs full-`R` ablation, and simulator throughput.
 //!
 //! Phase sizes m ∈ {4, 16, 64} bracket the block sizes the SQ(d) bound
 //! models generate. With `CRITERION_JSON=BENCH_pr3.json` the shim appends
@@ -120,6 +121,25 @@ fn bench_lumped(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper's Theorem-3 ablation (§IV-B): the scalar-tail (`ρᴺ`)
+/// lower-bound solve against the full matrix-geometric solve of the same
+/// model, at ρ = 0.9.
+fn bench_theorem3(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels");
+    for (n, t) in [(3usize, 3u32), (6, 3)] {
+        let sqd = Sqd::new(n, 2, 0.9).unwrap();
+        group.bench_function(
+            BenchmarkId::new("theorem3", format!("scalar_tail_N{n}_T{t}")),
+            |b| b.iter(|| sqd.lower_bound(t).unwrap()),
+        );
+        group.bench_function(
+            BenchmarkId::new("theorem3", format!("full_r_N{n}_T{t}")),
+            |b| b.iter(|| sqd.lower_bound_full_r(t).unwrap()),
+        );
+    }
+    group.finish();
+}
+
 /// Server counts for the simulator scaling benches: N = 16 is the
 /// paper-sized regime, 256 and 4096 stress the dispatch path (an O(N)
 /// scan per arrival dominates long before 4096 servers).
@@ -186,6 +206,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_g_kernels, bench_matmul, bench_lumped, bench_sim_throughput
+    targets = bench_g_kernels, bench_matmul, bench_lumped, bench_theorem3, bench_sim_throughput
 }
 criterion_main!(benches);

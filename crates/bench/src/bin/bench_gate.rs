@@ -12,9 +12,10 @@
 //!
 //! * **Kernel benches** (`logred/…`, `cr/…`, `stationary_solve/…`,
 //!   `matmul/…`, since PR 7 the serial simulator benches
-//!   `sim_serial/…`, `sim_jsq/…`, and since PR 9 the occupancy-lumped
-//!   solver benches `lumped_*`) are tight, single-threaded loops whose
-//!   medians are reproducible to a few percent, so they get the strict
+//!   `sim_serial/…`, `sim_jsq/…`, the occupancy-lumped solver benches
+//!   `lumped_*`, and the Theorem-3 ablation `theorem3/…`) are tight,
+//!   single-threaded loops whose medians are reproducible to a few
+//!   percent, so they get the strict
 //!   `--kernel-threshold` (default 1.3×) — the PR 5 → PR 6 trajectory
 //!   showed a phantom "regression" on `logred/m64` that was pure
 //!   recording-run noise, and a 3× tripwire would never catch the real
@@ -47,7 +48,7 @@ use slb_exp::Json;
 
 /// Bench-name prefixes of the tight single-threaded loops held to the
 /// strict threshold.
-const KERNEL_PREFIXES: [&str; 7] = [
+const KERNEL_PREFIXES: [&str; 8] = [
     "logred/",
     "cr/",
     "stationary_solve/",
@@ -55,6 +56,7 @@ const KERNEL_PREFIXES: [&str; 7] = [
     "sim_serial/",
     "sim_jsq/",
     "lumped_",
+    "theorem3/",
 ];
 
 fn is_kernel(bench: &str) -> bool {

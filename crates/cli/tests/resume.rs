@@ -10,9 +10,10 @@ use std::time::{Duration, Instant};
 
 /// A scaling-family grid whose points route through the occupancy-lumped
 /// solvers: every solve polls its budget, so the armed
-/// `solver.slow_iter` fault (1 ms sleep per poll) stretches the grid to
-/// about 1.8 s of sleeps (some 1,700 polls, next to ~0.1 s of compute) —
-/// a deterministic window for the mid-run SIGINT, which lands at 1 s.
+/// `solver.slow_iter` fault (1 ms sleep per poll) stretches each point
+/// to many polls. The SIGINT is sent as soon as the first point is
+/// published to the cache, so it lands mid-grid however fast the
+/// solvers are.
 const SPEC: &str = r#"
 [scenario]
 name = "resume-grid"
@@ -57,6 +58,31 @@ fn wait_with_timeout(mut child: Child) -> (std::process::ExitStatus, String, Str
     (status, stdout, stderr)
 }
 
+/// Polls `cache` every 10 ms (for at most 60 s) until it holds a
+/// published entry, `<16 hex digits>.json` — not the `*.run.json`
+/// manifest and not a temporary file.
+fn wait_for_first_entry(cache: &Path) {
+    let published = |name: &str| {
+        name.strip_suffix(".json")
+            .is_some_and(|stem| stem.len() == 16 && stem.bytes().all(|b| b.is_ascii_hexdigit()))
+    };
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let found = std::fs::read_dir(cache)
+            .expect("read cache dir")
+            .filter_map(|e| e.ok())
+            .any(|e| published(&e.file_name().to_string_lossy()));
+        if found {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no cache entry published in 60 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn sigint_mid_sweep_then_resume_is_byte_identical_at_any_thread_count() {
     let base = std::env::temp_dir().join(format!("slb-resume-{}", std::process::id()));
@@ -77,7 +103,7 @@ fn sigint_mid_sweep_then_resume_is_byte_identical_at_any_thread_count() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn slb sweep");
-    std::thread::sleep(Duration::from_millis(1000));
+    wait_for_first_entry(&cache);
     let kill = Command::new("kill")
         .args(["-INT", &child.id().to_string()])
         .status()
@@ -87,8 +113,8 @@ fn sigint_mid_sweep_then_resume_is_byte_identical_at_any_thread_count() {
     assert!(!status.success(), "interrupted sweep must fail: {stderr}");
     assert!(stderr.contains("interrupted after"), "{stderr}");
     assert!(stderr.contains("--resume"), "{stderr}");
-    // How many points the interrupted run banked (0 is possible if the
-    // signal landed inside the very first solve).
+    // How many points the interrupted run banked (the signal follows the
+    // first published entry, so normally at least one).
     let done: usize = stderr
         .split("interrupted after ")
         .nth(1)

@@ -16,8 +16,8 @@
 
 use std::collections::HashMap;
 
-use slb_linalg::CooBuilder;
-use slb_markov::{generator_residual, stationary_jacobi_csr};
+use slb_linalg::{null_vector_gs, CooBuilder, GsOptions};
+use slb_markov::MarkovError;
 
 use crate::{transitions_with_mode, CoreError, ModelVariant, PollMode, Result, State};
 
@@ -55,7 +55,7 @@ impl BruteForce {
     ///
     /// * [`CoreError::InvalidParameters`] for `n == 0`, `d ∉ 1..=n`,
     ///   `λ ∉ (0, 1)` or `cap < 2`.
-    /// * [`CoreError::Markov`] if the iterative stationary solve fails.
+    /// * [`CoreError::Markov`] if the sparse stationary solve fails.
     pub fn solve(n: usize, d: usize, lambda: f64, cap: u32) -> Result<Self> {
         BruteForce::solve_with_mode(n, d, lambda, cap, PollMode::WithoutReplacement)
     }
@@ -99,8 +99,9 @@ impl BruteForce {
             .map(|(i, s)| (s.clone(), i))
             .collect();
 
-        // Assemble the truncated generator directly in the shared CSR
-        // kernel: off-diagonal rates plus the matching -outflow diagonal.
+        // Assemble the transposed truncated generator `Qᵀ` directly in
+        // the shared CSR kernel: off-diagonal rates plus the matching
+        // -outflow diagonal, row `j` listing the inflows of state `j`.
         let to_core = |e: slb_linalg::LinalgError| CoreError::InvalidParameters {
             reason: format!("generator assembly failed: {e}"),
         };
@@ -113,15 +114,26 @@ impl BruteForce {
                 }
                 let j = index[&tr.target];
                 if j != i {
-                    coo.add(i, j, tr.rate).map_err(to_core)?;
+                    coo.add(j, i, tr.rate).map_err(to_core)?;
                     outflow += tr.rate;
                 }
             }
             coo.add(i, i, -outflow).map_err(to_core)?;
         }
-        let q = coo.build();
-        let pi = stationary_jacobi_csr(&q, 1e-13, 2_000_000)?;
-        debug_assert!(generator_residual(&q, &pi) < 1e-8, "stationary residual");
+        // Every transition moves the job total by one, so classes of
+        // equal total make a tridiagonal coarse chain.
+        let classes: Vec<u32> = states.iter().map(State::total).collect();
+        let pi = null_vector_gs(
+            &coo.build(),
+            &vec![1.0; states.len()],
+            &GsOptions {
+                tol: 1e-13,
+                classes: Some(&classes),
+                ..GsOptions::default()
+            },
+        )
+        .map_err(MarkovError::from)?
+        .x;
 
         Ok(BruteForce {
             n,
@@ -297,6 +309,41 @@ mod tests {
         let rand = BruteForce::solve(3, 1, 0.8, 25).unwrap();
         let rand_pmf = rand.imbalance_pmf();
         assert!(rand_pmf[0] + rand_pmf[1] < pmf[0] + pmf[1]);
+    }
+
+    #[test]
+    fn matches_gth_near_the_boundary() {
+        // The sparse solve against dense GTH on the same truncated chain,
+        // up to ρ = 0.97 where the chain mixes slowest.
+        for (n, lam, cap) in [(2usize, 0.97, 60u32), (3, 0.95, 22), (4, 0.9, 12)] {
+            let bf = BruteForce::solve(n, 2, lam, cap).unwrap();
+            let m = bf.states.len();
+            let mut q = slb_linalg::Matrix::zeros(m, m);
+            for (i, s) in bf.states.iter().enumerate() {
+                let trans = transitions_with_mode(s, 2, lam, ModelVariant::Base, bf.mode);
+                for tr in trans.iter().filter(|tr| tr.target.level(0) <= cap) {
+                    let j = bf.index[&tr.target];
+                    if j != i {
+                        q[(i, j)] += tr.rate;
+                        q[(i, i)] -= tr.rate;
+                    }
+                }
+            }
+            let pi = slb_markov::gth_stationary(&q).unwrap();
+            let jobs: f64 = bf
+                .states
+                .iter()
+                .zip(&pi)
+                .map(|(s, &p)| p * f64::from(s.total()))
+                .sum();
+            let want = jobs / (lam * n as f64);
+            let rel = (bf.mean_delay() - want).abs() / want;
+            assert!(
+                rel < 1e-10,
+                "N={n} ρ={lam}: {} vs {want} ({rel:e})",
+                bf.mean_delay()
+            );
+        }
     }
 
     #[test]

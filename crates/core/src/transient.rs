@@ -10,7 +10,8 @@
 //! ladder: the `N = ∞` fluid transient and the finite-`N` stochastic
 //! transient it approximates.
 
-use slb_markov::{Ctmc, SparseCtmc};
+use slb_linalg::{null_vector_gs, GsOptions};
+use slb_markov::{Ctmc, MarkovError};
 
 use crate::{transitions_with_mode, CoreError, ModelVariant, PollMode, Result, State};
 
@@ -72,7 +73,6 @@ impl TransientSqd {
         let index: std::collections::HashMap<&State, usize> =
             states.iter().enumerate().map(|(i, s)| (s, i)).collect();
 
-        let mut sparse = SparseCtmc::new(states.len());
         let mut q = slb_linalg::Matrix::zeros(states.len(), states.len());
         for (i, s) in states.iter().enumerate() {
             let mut outflow = 0.0;
@@ -89,14 +89,24 @@ impl TransientSqd {
                 let j = index[&tr.target];
                 outflow += tr.rate;
                 q[(i, j)] += tr.rate;
-                if j != i {
-                    sparse.add_rate(i, j, tr.rate)?;
-                }
             }
             q[(i, i)] -= outflow;
         }
-        let stationary = sparse.stationary_jacobi(1e-13, 2_000_000)?;
         let ctmc = Ctmc::from_generator(q)?;
+        // Equal job totals as classes: every transition moves the total
+        // by one, so the coarse chain is tridiagonal.
+        let classes: Vec<u32> = states.iter().map(State::total).collect();
+        let stationary = null_vector_gs(
+            &ctmc.sparse_generator().transpose(),
+            &vec![1.0; states.len()],
+            &GsOptions {
+                tol: 1e-13,
+                classes: Some(&classes),
+                ..GsOptions::default()
+            },
+        )
+        .map_err(MarkovError::from)?
+        .x;
 
         Ok(TransientSqd {
             ctmc,
@@ -250,8 +260,9 @@ mod tests {
         let tr = TransientSqd::new(3, 2, 0.6, 14).unwrap();
         assert!(tr.mean_jobs_at(0.0).unwrap() < 1e-12);
         assert!(tr.tv_distance_at(0.0).unwrap() > 0.3);
-        // Two independent solvers meet here: Jacobi at residual 1e-13
-        // and uniformization with its own series truncation.
+        // Two independent solvers meet here: aggregated Gauss–Seidel at
+        // scaled residual 1e-13 and uniformization with its own series
+        // truncation.
         let late = tr.mean_jobs_at(120.0).unwrap();
         assert!(
             (late - tr.stationary_mean_jobs()).abs() < 1e-5,

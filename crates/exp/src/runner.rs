@@ -12,7 +12,7 @@ use std::fmt;
 
 use slb_core::brute::BruteForce;
 use slb_core::{asymptotic, BoundKind, BoundModel, CoreError, LumpedModel, Sqd};
-use slb_linalg::{power_iteration_sparse, Budget, CsrMatrix, Workspace};
+use slb_linalg::{power_iteration, Budget, Workspace};
 use slb_mapph::MapSqd;
 use slb_markov::{Map, PhaseType};
 use slb_qbd::{
@@ -546,7 +546,7 @@ fn run_theorem3(job: &Job) -> Result<Vec<Row>, String> {
     let rho_n = rho.powi(n as i32);
     let sp_r = match sol.tail() {
         Tail::Matrix(r) => {
-            power_iteration_sparse(&CsrMatrix::from_dense(r, 0.0), 1e-13, 100_000)
+            power_iteration(r, 1e-13, 100_000)
                 .map_err(|e| format!("power iteration: {e}"))?
                 .eigenvalue
         }

@@ -1,9 +1,15 @@
 //! Sparse stationary solver: Gauss–Seidel with iterative
 //! aggregation/disaggregation.
 //!
-//! The lumped QBD path assembles finite balance systems `π M = 0`,
-//! `π · w = 1` whose dimension reaches the hundreds of thousands; a dense
-//! LU factorization is out of the question there. The rows of `M` are
+//! [`null_vector_gs`] is the workspace's one sparse stationary solver.
+//! The lumped QBD path (`slb-qbd`'s `SparseQbdBlocks`, the phase chain of
+//! the drift test), the brute-force SQ(d) chain (`slb-core`'s
+//! `BruteForce`), its MAP-modulated twin (`slb-mapph`'s `MapBrute`) and
+//! the stationary law of the transient chain (`TransientSqd`) all call
+//! it, each with class labels it already knows. They assemble finite
+//! balance systems `π M = 0`, `π · w = 1` whose dimension reaches the
+//! hundreds of thousands; a dense LU factorization is out of the question
+//! there. The rows of `M` are
 //! CTMC-like (nonnegative off-diagonal rates, strictly negative diagonal)
 //! which makes the classical Gauss–Seidel splitting semiconvergent.
 //!
@@ -36,6 +42,13 @@
 //! systems that are not generators. A coarse solve that meets a zero
 //! pivot or yields a non-positive mass is skipped; the convergence test,
 //! the true-residual check and the budget poll never see the difference.
+//!
+//! The classes must keep the chain's slow modes apart: aggregation only
+//! fixes the mass *between* classes, so a slow mode inside one class is
+//! left to plain Gauss–Seidel. The brute-force chains label states by
+//! their job total; the MAP-modulated one needs `(total, phase)` labels,
+//! because the modulating phase changes slowly (over job totals alone
+//! its solve stalls at a residual near `2e-3` under a slow MMPP-2).
 //!
 //! The coarse chain is banded when one transition moves a state by only
 //! a few classes (the bound models label states by their job total, and

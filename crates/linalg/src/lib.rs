@@ -56,8 +56,8 @@ pub use lu::Lu;
 pub use matrix::Matrix;
 pub use sparse::{CooBuilder, CsrMatrix};
 pub use spectral::{
-    power_iteration, power_iteration_op, power_iteration_sparse, spectral_radius_upper_bound,
-    spectral_radius_upper_bound_sparse, LinearOperator, PowerIteration,
+    power_iteration, spectral_radius_upper_bound, spectral_radius_upper_bound_sparse,
+    LinearOperator, PowerIteration,
 };
 pub use workspace::Workspace;
 

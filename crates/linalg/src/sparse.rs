@@ -118,15 +118,6 @@ impl CooBuilder {
         Ok(())
     }
 
-    /// Iterates over the stored entries of one row as `(col, value)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.entries[row].iter().copied()
-    }
-
     /// Adds every non-zero of a dense block with its top-left corner at
     /// `(r0, c0)` — the block-matrix assembly primitive used by the QBD
     /// generators.
@@ -611,6 +602,54 @@ mod tests {
     }
 
     #[test]
+    fn two_state_power() {
+        // The stationary law of Q = [[-2, 2], [1, -1]] is the Perron
+        // vector of the transposed uniformized chain (I + Q/Λ)ᵀ.
+        let q =
+            CsrMatrix::from_triplets(2, 2, [(0, 0, -2.0), (0, 1, 2.0), (1, 0, 1.0), (1, 1, -1.0)])
+                .unwrap();
+        let pt = q
+            .scale(1.0 / 2.5)
+            .plus_scaled_identity(1.0)
+            .unwrap()
+            .transpose();
+        let p = crate::power_iteration(&pt, 1e-14, 10_000).unwrap();
+        assert!((p.eigenvalue - 1.0).abs() < 1e-12);
+        assert!((p.eigenvector[0] - 1.0 / 3.0).abs() < 1e-9, "{p:?}");
+    }
+
+    #[test]
+    fn generator_csr_rows_sum_to_zero() {
+        // A generator assembled transposed, as the sparse stationary
+        // solves take it: add(to, from, rate) plus the -outflow diagonal.
+        let mut qt = CooBuilder::new(3, 3);
+        for (from, to, rate) in [(0, 1, 1.5), (1, 2, 0.5), (2, 0, 2.0), (2, 1, 0.25)] {
+            qt.add(to, from, rate).unwrap();
+            qt.add(from, from, -rate).unwrap();
+        }
+        let qt = qt.build();
+        assert_eq!(qt.get(2, 2), -2.25);
+        assert_eq!(qt.get(1, 2), 0.25);
+        for s in qt.transpose().row_sums() {
+            assert!(s.abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn invalid_insertions_rejected() {
+        let mut b = CooBuilder::new(2, 2);
+        assert!(b.add(2, 0, 1.0).is_err());
+        assert!(b.add(0, 2, 1.0).is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                b.add(0, 1, bad),
+                Err(LinalgError::InvalidInput { .. })
+            ));
+        }
+        assert_eq!(b.raw_len(), 0);
+    }
+
+    #[test]
     fn norms() {
         let a = sample();
         assert_eq!(a.norm_inf(), 3.0); // max row sum
@@ -640,7 +679,7 @@ mod tests {
         let mut b = CooBuilder::new(2, 2);
         b.add(0, 1, 1.0).unwrap();
         b.add(0, 1, 1.0).unwrap();
-        assert_eq!(b.row_entries(0).collect::<Vec<_>>(), vec![(1, 2.0)]);
         assert_eq!(b.raw_len(), 1);
+        assert_eq!(b.build().get(0, 1), 2.0);
     }
 }

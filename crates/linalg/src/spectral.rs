@@ -6,33 +6,31 @@
 //! positive start vector, and `min(‖R‖₁, ‖R‖_∞)` is a certified upper
 //! bound.
 //!
-//! The iteration itself is written against the [`LinearOperator`]
-//! abstraction, so the same code runs on a dense [`Matrix`] or a sparse
-//! [`CsrMatrix`]; stationary solves on large truncated state spaces use
-//! the sparse path ([`power_iteration_sparse`]) and never materialize a
-//! dense operator.
+//! The iteration is written against the [`LinearOperator`] abstraction,
+//! so the same code runs on a dense [`Matrix`] or a sparse
+//! [`CsrMatrix`]; a sparse operator is never materialized densely.
 
 use crate::{CsrMatrix, LinalgError, Matrix, Result};
 
-/// A square linear map exposing only `y = A·x` — everything power
-/// iteration needs. Implemented by [`Matrix`] (dense, `O(n²)` per apply)
-/// and [`CsrMatrix`] (sparse, `O(nnz)` per apply).
+/// A linear map exposing only its shape and `y = A·x` — everything
+/// power iteration needs. Implemented by [`Matrix`] (dense, `O(n²)` per
+/// apply) and [`CsrMatrix`] (sparse, `O(nnz)` per apply).
 pub trait LinearOperator {
-    /// Dimension `n` of the (square) operator.
-    fn dim(&self) -> usize;
+    /// Shape `(rows, cols)` of the operator.
+    fn shape(&self) -> (usize, usize);
 
     /// Computes `y = A·x`.
     ///
     /// # Panics
     ///
-    /// Implementations panic if `x.len()` or `y.len()` differ from
-    /// [`LinearOperator::dim`].
+    /// Implementations panic if `x.len()` or `y.len()` differ from the
+    /// column or row count of [`LinearOperator::shape`].
     fn apply(&self, x: &[f64], y: &mut [f64]);
 }
 
 impl LinearOperator for Matrix {
-    fn dim(&self) -> usize {
-        self.rows()
+    fn shape(&self) -> (usize, usize) {
+        Matrix::shape(self)
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
@@ -41,8 +39,8 @@ impl LinearOperator for Matrix {
 }
 
 impl LinearOperator for CsrMatrix {
-    fn dim(&self) -> usize {
-        self.rows()
+    fn shape(&self) -> (usize, usize) {
+        CsrMatrix::shape(self)
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
@@ -61,8 +59,9 @@ pub struct PowerIteration {
     pub iterations: usize,
 }
 
-/// Estimates the dominant eigenvalue of a square dense matrix by power
-/// iteration. Thin wrapper over [`power_iteration_op`].
+/// Estimates the dominant eigenvalue of a square dense or sparse matrix
+/// by power iteration: `O(n²)` per step on a [`Matrix`], `O(nnz)` on a
+/// [`CsrMatrix`].
 ///
 /// Starts from the uniform positive vector, which is adequate for the
 /// nonnegative matrices this project applies it to (rate matrices `R`,
@@ -77,68 +76,26 @@ pub struct PowerIteration {
 /// # Example
 ///
 /// ```
-/// use slb_linalg::{power_iteration, Matrix};
+/// use slb_linalg::{power_iteration, CsrMatrix, Matrix};
 ///
 /// # fn main() -> Result<(), slb_linalg::LinalgError> {
 /// let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 0.5]])?;
 /// let p = power_iteration(&a, 1e-12, 10_000)?;
 /// assert!((p.eigenvalue - 2.0).abs() < 1e-9);
+/// let s = CsrMatrix::from_dense(&a, 0.0);
+/// assert!((power_iteration(&s, 1e-12, 10_000)?.eigenvalue - 2.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
-pub fn power_iteration(a: &Matrix, tol: f64, max_iter: usize) -> Result<PowerIteration> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    power_iteration_op(a, tol, max_iter)
-}
-
-/// Estimates the dominant eigenvalue of a sparse matrix by power
-/// iteration on the CSR matvec — `O(nnz)` per step instead of `O(n²)`.
-///
-/// # Errors
-///
-/// As [`power_iteration`].
-///
-/// # Example
-///
-/// ```
-/// use slb_linalg::{power_iteration_sparse, CsrMatrix};
-///
-/// # fn main() -> Result<(), slb_linalg::LinalgError> {
-/// let a = CsrMatrix::from_triplets(2, 2, [(0, 0, 2.0), (1, 1, 0.5)])?;
-/// let p = power_iteration_sparse(&a, 1e-12, 10_000)?;
-/// assert!((p.eigenvalue - 2.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn power_iteration_sparse(a: &CsrMatrix, tol: f64, max_iter: usize) -> Result<PowerIteration> {
-    if !a.is_square() {
-        return Err(LinalgError::NotSquare { shape: a.shape() });
-    }
-    power_iteration_op(a, tol, max_iter)
-}
-
-/// Power iteration against any [`LinearOperator`] — the single
-/// implementation behind both the dense and sparse entry points.
-///
-/// # Errors
-///
-/// [`LinalgError::NoConvergence`] if the eigenvalue estimate has not
-/// stabilized to within `tol` after `max_iter` iterations.
-///
-/// # Panics
-///
-/// [`LinearOperator`] promises a *square* map; handing this a
-/// rectangular matrix panics inside `apply` on the dimension assert.
-/// Use [`power_iteration`] / [`power_iteration_sparse`], which return
-/// [`LinalgError::NotSquare`] instead, unless squareness is guaranteed.
-pub fn power_iteration_op<A: LinearOperator + ?Sized>(
+pub fn power_iteration<A: LinearOperator + ?Sized>(
     a: &A,
     tol: f64,
     max_iter: usize,
 ) -> Result<PowerIteration> {
-    let n = a.dim();
+    let (n, cols) = a.shape();
+    if n != cols {
+        return Err(LinalgError::NotSquare { shape: (n, cols) });
+    }
     let mut v = vec![1.0 / n as f64; n];
     let mut w = vec![0.0; n];
     let mut aw = vec![0.0; n];
@@ -231,7 +188,7 @@ mod tests {
         ));
         let s = CsrMatrix::from_dense(&a, 0.0);
         assert!(matches!(
-            power_iteration_sparse(&s, 1e-12, 10),
+            power_iteration(&s, 1e-12, 10),
             Err(LinalgError::NotSquare { .. })
         ));
     }
@@ -241,7 +198,7 @@ mod tests {
         let d = Matrix::from_rows(&[&[0.2, 0.7, 0.0], &[0.0, 0.1, 0.5], &[0.3, 0.0, 0.4]]).unwrap();
         let s = CsrMatrix::from_dense(&d, 0.0);
         let pd = power_iteration(&d, 1e-13, 100_000).unwrap();
-        let ps = power_iteration_sparse(&s, 1e-13, 100_000).unwrap();
+        let ps = power_iteration(&s, 1e-13, 100_000).unwrap();
         assert!((pd.eigenvalue - ps.eigenvalue).abs() < 1e-10);
         assert!(
             (spectral_radius_upper_bound(&d) - spectral_radius_upper_bound_sparse(&s)).abs()
@@ -259,7 +216,7 @@ mod tests {
             t.push((i, i, 0.4));
         }
         let p = CsrMatrix::from_triplets(n, n, t).unwrap();
-        let r = power_iteration_sparse(&p, 1e-12, 100_000).unwrap();
+        let r = power_iteration(&p, 1e-12, 100_000).unwrap();
         assert!((r.eigenvalue - 1.0).abs() < 1e-9);
     }
 }

@@ -9,7 +9,8 @@
 use std::collections::HashMap;
 
 use slb_core::{transitions_with_mode, ModelVariant, PollMode, State};
-use slb_markov::{Map, SparseCtmc};
+use slb_linalg::{null_vector_gs, CooBuilder, GsOptions};
+use slb_markov::Map;
 
 use crate::{MapphError, Result};
 
@@ -48,7 +49,7 @@ impl MapBrute {
     ///
     /// * [`MapphError::InvalidParameters`] for invalid `(N, d, cap)` or an
     ///   overloaded MAP.
-    /// * [`MapphError::Markov`] if the iterative stationary solve fails.
+    /// * [`MapphError::Linalg`] if the sparse stationary solve fails.
     pub fn solve(n: usize, d: usize, map: &Map, cap: u32) -> Result<Self> {
         MapBrute::solve_with_mode(n, d, map, cap, PollMode::WithoutReplacement)
     }
@@ -96,7 +97,16 @@ impl MapBrute {
         let d1 = map.d1();
         let probe = 1.0 / n as f64; // λN = 1 ⇒ arrival rates are join probs
 
-        let mut chain = SparseCtmc::new(states.len() * p);
+        // The transposed generator `Qᵀ`: row `to` lists the inflows of
+        // state `to`, and each state's diagonal is its -outflow.
+        let len = states.len() * p;
+        let mut qt = CooBuilder::new(len, len);
+        let mut outflow = vec![0.0; len];
+        let mut add = |from: usize, to: usize, rate: f64| -> Result<()> {
+            qt.add(to, from, rate)?;
+            outflow[from] += rate;
+            Ok(())
+        };
         for (i, s) in states.iter().enumerate() {
             let trans = transitions_with_mode(s, d, probe, ModelVariant::Base, mode);
             for h in 0..p {
@@ -104,7 +114,7 @@ impl MapBrute {
                 // Phase changes without arrival.
                 for h2 in 0..p {
                     if h2 != h && d0[(h, h2)] > 0.0 {
-                        chain.add_rate(from, idx(i, h2), d0[(h, h2)])?;
+                        add(from, idx(i, h2), d0[(h, h2)])?;
                     }
                 }
                 for tr in &trans {
@@ -116,17 +126,36 @@ impl MapBrute {
                         for h2 in 0..p {
                             let r = d1[(h, h2)] * tr.rate;
                             if r > 0.0 && idx(j, h2) != from {
-                                chain.add_rate(from, idx(j, h2), r)?;
+                                add(from, idx(j, h2), r)?;
                             }
                         }
                     } else {
                         let j = index[&tr.target];
-                        chain.add_rate(from, idx(j, h), tr.rate)?;
+                        add(from, idx(j, h), tr.rate)?;
                     }
                 }
             }
         }
-        let pi = chain.stationary_jacobi(1e-13, 2_000_000)?;
+        for (i, &o) in outflow.iter().enumerate() {
+            qt.add(i, i, -o)?;
+        }
+        // Classes of equal (job total, phase): the modulating phase is the
+        // chain's slow mode, so the coarse chain must keep phases apart
+        // (over job totals alone the aggregation stalls).
+        let classes: Vec<u32> = states
+            .iter()
+            .flat_map(|s| (0..p).map(move |h| (s.total() as usize * p + h) as u32))
+            .collect();
+        let pi = null_vector_gs(
+            &qt.build(),
+            &vec![1.0; len],
+            &GsOptions {
+                tol: 1e-13,
+                classes: Some(&classes),
+                ..GsOptions::default()
+            },
+        )?
+        .x;
 
         Ok(MapBrute {
             n,
@@ -254,6 +283,24 @@ mod tests {
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-7, "{got:?} vs {want:?}");
         }
+    }
+
+    #[test]
+    fn slow_modulation_converges_with_phase_classes() {
+        // Aggregating over job totals alone stalls here (the phase is the
+        // chain's slow mode); (total, phase) classes must converge.
+        let (n, rho) = (3usize, 0.7f64);
+        let map = Map::mmpp2(0.1, 0.3, 0.5, 2.0)
+            .unwrap()
+            .with_rate(rho * n as f64)
+            .unwrap();
+        let bf = MapBrute::solve(n, 2, &map, 20).unwrap();
+        let got = bf.phase_marginal();
+        let want = map.phase_stationary().unwrap();
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-9, "{got:?} vs {want:?}");
+        }
+        assert!(bf.mean_delay().is_finite() && bf.mean_delay() >= 1.0);
     }
 
     #[test]

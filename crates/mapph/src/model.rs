@@ -3,7 +3,7 @@
 
 use slb_core::occupancy::occupancy_to_state;
 use slb_core::{BoundKind, ModelVariant, OccupancySpace, PollMode};
-use slb_linalg::{power_iteration_sparse, CsrMatrix};
+use slb_linalg::{power_iteration, CsrMatrix};
 use slb_markov::Map;
 use slb_qbd::{QbdBlocks, SolveOptions, Tail};
 
@@ -326,7 +326,7 @@ impl MapSqd {
             Tail::Matrix(r) => {
                 // sp(R) through the shared sparse kernel.
                 let r = CsrMatrix::from_dense(r, 0.0);
-                power_iteration_sparse(&r, 1e-12, 50_000)?.eigenvalue
+                power_iteration(&r, 1e-12, 50_000)?.eigenvalue
             }
             Tail::Scalar(b) => *b,
         };

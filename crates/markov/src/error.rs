@@ -18,15 +18,6 @@ pub enum MarkovError {
         /// Diagnostic detail.
         reason: String,
     },
-    /// An iterative solver ran out of its iteration budget.
-    NoConvergence {
-        /// Name of the solver.
-        method: &'static str,
-        /// Iterations performed.
-        iterations: usize,
-        /// Final residual.
-        residual: f64,
-    },
     /// An underlying dense linear-algebra operation failed.
     Linalg(LinalgError),
 }
@@ -36,14 +27,6 @@ impl fmt::Display for MarkovError {
         match self {
             MarkovError::InvalidChain { reason } => write!(f, "invalid chain: {reason}"),
             MarkovError::NotErgodic { reason } => write!(f, "chain is not ergodic: {reason}"),
-            MarkovError::NoConvergence {
-                method,
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "{method} did not converge after {iterations} iterations (residual {residual:.3e})"
-            ),
             MarkovError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }

@@ -11,13 +11,12 @@
 //!   validation and stationary solves via the Grassmann–Taksar–Heyman
 //!   (GTH) elimination, which involves no subtractions and is therefore
 //!   immune to the cancellation that plagues naive `πQ = 0` solves.
-//! * [`SparseCtmc`] — a sparse chain backed by the shared
-//!   [`slb_linalg::CsrMatrix`] kernel, with uniformization-based
-//!   power-iteration and Jacobi stationary solvers
-//!   ([`stationary_power_csr`], [`stationary_jacobi_csr`] for callers that
-//!   assemble their own CSR generator). Used for the brute-force
-//!   ground-truth SQ(d) chains whose state spaces are too large for dense
-//!   `O(n³)` elimination.
+//! * Sparse chains too large for dense `O(n³)` elimination (the
+//!   brute-force SQ(d) ground truth) are assembled by their callers as a
+//!   transposed [`slb_linalg::CsrMatrix`] and solved by
+//!   [`slb_linalg::null_vector_gs`], the workspace's one sparse
+//!   stationary solver; GTH stays the direct solver and the oracle its
+//!   tests compare against.
 //! * [`birth_death`] — birth–death chains and the exact M/M/1, M/M/c and
 //!   M/M/1/K formulas (Erlang C and friends) used as oracles in tests and
 //!   as the `d = 1` special case of SQ(d).
@@ -53,7 +52,6 @@ mod error;
 mod gth;
 mod map;
 mod phase_type;
-mod sparse;
 
 pub use ctmc::Ctmc;
 pub use dtmc::Dtmc;
@@ -61,7 +59,6 @@ pub use error::MarkovError;
 pub use gth::gth_stationary;
 pub use map::Map;
 pub use phase_type::PhaseType;
-pub use sparse::{generator_residual, stationary_jacobi_csr, stationary_power_csr, SparseCtmc};
 
 /// Convenience result alias for fallible Markov-chain operations.
 pub type Result<T> = std::result::Result<T, MarkovError>;

@@ -342,10 +342,17 @@ mod tests {
         for s in sparse.row_sums() {
             assert!(s.abs() < 1e-12);
         }
-        // The shared iterative solver agrees with dense GTH on the
+        // The shared sparse solver agrees with dense GTH on the
         // truncated chain.
         let pi_gth = slb_markov::gth_stationary(&dense).unwrap();
-        let pi_csr = slb_markov::stationary_jacobi_csr(&sparse, 1e-13, 1_000_000).unwrap();
+        let opts = slb_linalg::GsOptions {
+            tol: 1e-13,
+            ..slb_linalg::GsOptions::default()
+        };
+        let pi_csr =
+            slb_linalg::null_vector_gs(&sparse.transpose(), &vec![1.0; sparse.rows()], &opts)
+                .unwrap()
+                .x;
         for (a, b) in pi_gth.iter().zip(&pi_csr) {
             assert!((a - b).abs() < 1e-9, "{pi_gth:?} vs {pi_csr:?}");
         }

@@ -239,7 +239,7 @@ pub fn decay_rate(blocks: &QbdBlocks, tol: f64, max_iter: usize) -> Result<f64> 
     // R inherits the sparsity of A0 (zero rows for phases that cannot
     // move up); iterate on the shared CSR kernel.
     let r = slb_linalg::CsrMatrix::from_dense(&r, 0.0);
-    let p = slb_linalg::power_iteration_sparse(&r, 1e-13, 100_000).map_err(QbdError::from)?;
+    let p = slb_linalg::power_iteration(&r, 1e-13, 100_000).map_err(QbdError::from)?;
     Ok(p.eigenvalue)
 }
 

@@ -20,7 +20,7 @@
 //! The rate matrix follows as `R = −A0 (A1 + A0·G)⁻¹` and satisfies
 //! `A0 + R·A1 + R²·A2 = 0` ([`rate_matrix`]).
 
-use slb_linalg::{power_iteration_sparse, Budget, CooBuilder, Lu, Matrix, Workspace};
+use slb_linalg::{power_iteration, Budget, CooBuilder, Lu, Matrix, Workspace};
 
 use crate::lumped::SparseQbdBlocks;
 use crate::{QbdBlocks, QbdError, Result};
@@ -411,7 +411,7 @@ fn perron_of_quadratic(blocks: &SparseQbdBlocks, z: f64) -> Result<f64> {
         shift = shift.max(-a.get(r, r));
     }
     let shifted = a.plus_scaled_identity(shift).map_err(QbdError::Linalg)?;
-    let p = power_iteration_sparse(&shifted, 1e-13, 2_000).map_err(QbdError::Linalg)?;
+    let p = power_iteration(&shifted, 1e-13, 2_000).map_err(QbdError::Linalg)?;
     Ok(p.eigenvalue - shift)
 }
 
@@ -530,7 +530,7 @@ fn upper_bracket_offset(blocks: &SparseQbdBlocks, margin: f64, budget: &Budget) 
 /// `(0, 1)` of the Perron eigenvalue of `A(z) = A0 + z·A1 + z²·A2`
 /// (`χ(z)` is positive below the root, negative between it and 1, and
 /// `χ(1) = 0`). Each evaluation is one diagonal shift plus one
-/// [`power_iteration_sparse`](slb_linalg::power_iteration_sparse) on a
+/// [`power_iteration`](slb_linalg::power_iteration) on a
 /// CSR matrix — with a Gauss–Seidel M-matrix sign test as fallback for
 /// the nilpotent-`A0` regime where the spectrum clusters — so the cost
 /// per bisection step is `O(nnz · sweeps)`; this is the tail-exponent

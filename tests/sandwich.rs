@@ -9,14 +9,14 @@
 //! ```
 //!
 //! The brute-force stationary vector is computed twice — once through the
-//! dense GTH elimination and once through the shared CSR iterative kernel
-//! (`slb_linalg::CsrMatrix` + `slb_markov::stationary_*_csr`) — and the
-//! two must agree to solver tolerance. This pins the multi-layer sparse
-//! refactor to the dense ground truth.
+//! dense GTH elimination and once through the one sparse stationary
+//! solver (`slb_linalg::null_vector_gs` on the transposed CSR generator)
+//! — and the two must agree to solver tolerance. This pins the sparse
+//! solver to the dense ground truth.
 
 use slb::core::{transitions, ModelVariant, State};
-use slb::linalg::{CooBuilder, CsrMatrix, Matrix};
-use slb::markov::{gth_stationary, stationary_jacobi_csr, stationary_power_csr};
+use slb::linalg::{null_vector_gs, CooBuilder, CsrMatrix, GsOptions, Matrix};
+use slb::markov::gth_stationary;
 use slb::Sqd;
 
 /// All sorted states on `n` servers with longest queue ≤ `cap`.
@@ -92,21 +92,22 @@ fn sandwich_holds_via_dense_and_csr_paths() {
 
         // Dense path: GTH elimination on the explicit generator.
         let pi_dense = gth_stationary(&dense).unwrap();
-        // Sparse paths: the shared CSR kernel, both iterative solvers.
-        let pi_jacobi = stationary_jacobi_csr(&csr, 1e-13, 2_000_000).unwrap();
-        let pi_power = stationary_power_csr(&csr, 1e-13, 2_000_000).unwrap();
+        // Sparse path: the shared CSR kernel and the one sparse solver.
+        let opts = GsOptions {
+            tol: 1e-13,
+            ..GsOptions::default()
+        };
+        let pi_csr = null_vector_gs(&csr.transpose(), &vec![1.0; states.len()], &opts)
+            .unwrap()
+            .x;
         for i in 0..pi_dense.len() {
             assert!(
-                (pi_dense[i] - pi_jacobi[i]).abs() < 1e-8,
-                "λ={lambda}: dense vs jacobi at {i}"
-            );
-            assert!(
-                (pi_dense[i] - pi_power[i]).abs() < 1e-7,
-                "λ={lambda}: dense vs power at {i}"
+                (pi_dense[i] - pi_csr[i]).abs() < 1e-8,
+                "λ={lambda}: dense vs csr at {i}"
             );
         }
 
-        for (path, pi) in [("dense", &pi_dense), ("csr", &pi_jacobi)] {
+        for (path, pi) in [("dense", &pi_dense), ("csr", &pi_csr)] {
             let brute = mean_delay(&states, pi, n, lambda);
             assert!(
                 lower <= brute + 1e-6,
@@ -122,13 +123,14 @@ fn sandwich_holds_via_dense_and_csr_paths() {
 
 #[test]
 fn sandwich_matches_library_brute_force() {
-    // The hand-assembled chain above must agree with the library's own
-    // CSR-backed brute-force solver.
+    // The library's brute-force solver against GTH on the hand-assembled
+    // chain above, so the oracle stays independent of the solver under
+    // test.
     let (n, d, cap) = (3usize, 2usize, 25u32);
     for lambda in [0.5, 0.8] {
         let bf = slb::core::brute::BruteForce::solve(n, d, lambda, cap).unwrap();
-        let (_, csr, states) = truncated_generator(n, d, lambda, cap);
-        let pi = stationary_jacobi_csr(&csr, 1e-13, 2_000_000).unwrap();
+        let (dense, _, states) = truncated_generator(n, d, lambda, cap);
+        let pi = gth_stationary(&dense).unwrap();
         let here = mean_delay(&states, &pi, n, lambda);
         assert!(
             (bf.mean_delay() - here).abs() < 1e-9,
