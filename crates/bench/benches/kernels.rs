@@ -92,10 +92,11 @@ fn bench_matmul(c: &mut Criterion) {
 /// engine): sparse block assembly and the Theorem-3 lower-bound solve
 /// at the grid's smallest panel (N = 16, T = 4, block m = 3876), plus
 /// assembly alone at N = 64, T = 3 (m = 45 760) where the CSR builder
-/// dominates, and the truncated upper-bound solve (drift test plus
-/// level doubling) of a cold `bounds` query at N = 16, T = 3, ρ = 0.45.
-/// Solve time is Gauss–Seidel-bound, so these medians track exactly
-/// what the scaling sweep and the query path pay per row.
+/// dominates, and the closed truncated upper-bound solve (drift test
+/// plus level doubling) of a cold `bounds` query at N = 16, T = 3,
+/// ρ = 0.45 and near the stability boundary at N = 8, T = 4, ρ = 0.9
+/// (η = 0.966). Solve time is Gauss–Seidel-bound, so these medians
+/// track exactly what the scaling sweep and the query path pay per row.
 fn bench_lumped(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels");
     group.sample_size(10);
@@ -117,6 +118,10 @@ fn bench_lumped(c: &mut Criterion) {
     let query = Sqd::new(16, 2, 0.45).unwrap();
     group.bench_function(BenchmarkId::new("lumped_upper", "N16_T3"), |b| {
         b.iter(|| query.upper_bound_lumped(3).unwrap())
+    });
+    let near_boundary = Sqd::new(8, 2, 0.9).unwrap();
+    group.bench_function(BenchmarkId::new("lumped_upper", "N8_T4"), |b| {
+        b.iter(|| near_boundary.upper_bound_lumped(4).unwrap())
     });
     group.finish();
 }

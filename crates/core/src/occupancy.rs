@@ -27,7 +27,7 @@
 //! where the repeating block holds `C(N+T−1, T)` states (32,896 at
 //! `N = 256, T = 2`; 131,328 at `N = 512`) and a dense block would need
 //! gigabytes: the Theorem-3 scalar tail for the lower bound
-//! ([`Sqd::lower_bound_lumped`]), a reflecting level-doubling truncation
+//! ([`Sqd::lower_bound_lumped`]), a closed level-doubling truncation
 //! for the upper bound ([`Sqd::upper_bound_lumped`]), and a
 //! decay-rate-only fast path ([`Sqd::decay_rate_lumped`]).
 
@@ -930,8 +930,9 @@ impl LumpedModel {
         Ok(self.result(sol.mean_linear_cost(&cb, &c0, &growth), sol.residual()))
     }
 
-    /// Solves either model by the reflecting level-doubling truncation
-    /// (no rate matrix `R` is ever formed or densified).
+    /// Solves either model by the closed level-doubling truncation
+    /// ([`SparseQbdBlocks::solve_decay_tail`]; no rate matrix `R` is ever
+    /// formed or densified).
     ///
     /// # Errors
     ///
@@ -1038,7 +1039,7 @@ impl Sqd {
 
     /// Upper bound on the mean delay via the occupancy-lumped sparse
     /// path — same value as [`Sqd::upper_bound`], computed by the
-    /// reflecting level-doubling truncation instead of the dense rate
+    /// closed level-doubling truncation instead of the dense rate
     /// matrix.
     ///
     /// # Errors
@@ -1740,6 +1741,62 @@ mod tests {
             "{} sweeps over all rounds",
             upper.total_sweeps()
         );
+    }
+
+    /// The upper model's sparse blocks at `(N, T, ρ)`, d = 2.
+    fn upper_blocks(n: usize, t: u32, rho: f64) -> SparseQbdBlocks {
+        LumpedModel::new(Sqd::new(n, 2, rho).unwrap(), BoundKind::Upper, t)
+            .unwrap()
+            .qbd_blocks()
+            .unwrap()
+    }
+
+    #[test]
+    fn closed_tail_decay_is_the_decay_rate() {
+        // The cut-balance ratio of the accepted top level against the
+        // Perron-root bisection, where the tails carry mass.
+        for (n, t, rho) in [(8, 4, 0.9), (10, 3, 0.75), (16, 3, 0.7)] {
+            let blocks = upper_blocks(n, t, rho);
+            let sol = blocks
+                .solve_decay_tail(&SparseSolveOptions::default())
+                .unwrap();
+            let eta = decay_rate_sparse(&blocks, 1e-12).unwrap();
+            assert!(
+                (sol.decay() - eta).abs() <= 1e-6 * eta,
+                "N={n} T={t} ρ={rho}: closed decay {} vs sp(R) {eta}",
+                sol.decay()
+            );
+        }
+    }
+
+    #[test]
+    fn closed_truncation_stays_shallow_near_the_boundary() {
+        // The doubling to a top-level mass of 1e-12 retained 1,024 levels
+        // at both points.
+        for (n, t, rho) in [(8, 4, 0.9), (3, 2, 0.8)] {
+            let sol = upper_blocks(n, t, rho)
+                .solve_decay_tail(&SparseSolveOptions::default())
+                .unwrap();
+            assert!(
+                sol.levels().len() <= 32,
+                "N={n} T={t} ρ={rho}: {} levels",
+                sol.levels().len()
+            );
+        }
+    }
+
+    #[test]
+    fn lumped_upper_matches_dense_to_1e9_near_the_boundary() {
+        // The doubling read 5.7e-9, 1.3e-9, 2.9e-10 and 3.6e-9 here.
+        for (n, t, rho) in [(3, 2, 0.8031), (8, 4, 0.9), (10, 3, 0.754), (10, 3, 0.77)] {
+            let sqd = Sqd::new(n, 2, rho).unwrap();
+            let dense = sqd.upper_bound(t).unwrap().delay;
+            let lumped = sqd.upper_bound_lumped(t).unwrap().delay;
+            assert!(
+                (lumped - dense).abs() <= 1e-9 * dense,
+                "N={n} T={t} ρ={rho}: lumped {lumped} vs dense {dense}"
+            );
+        }
     }
 
     #[test]

@@ -55,10 +55,7 @@ pub use gs::{null_vector_gs, GsOptions, NullVector};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use sparse::{CooBuilder, CsrMatrix};
-pub use spectral::{
-    power_iteration, spectral_radius_upper_bound, spectral_radius_upper_bound_sparse,
-    LinearOperator, PowerIteration,
-};
+pub use spectral::{power_iteration, LinearOperator, PowerIteration};
 pub use workspace::Workspace;
 
 /// Convenience result alias for fallible linear-algebra operations.

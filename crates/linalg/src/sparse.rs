@@ -329,6 +329,35 @@ impl CsrMatrix {
         }
     }
 
+    /// Overwrites the stored entry at `(r, c)` with `value` (zero
+    /// included), leaving the sparsity structure unchanged — for solves
+    /// that re-run on the same system with a few rates changed.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidInput`] if `(r, c)` is out of range or not
+    /// stored, or `value` is non-finite.
+    pub fn set(&mut self, r: usize, c: usize, value: f64) -> Result<()> {
+        let invalid = |reason: String| Err(LinalgError::InvalidInput { reason });
+        if !value.is_finite() {
+            return invalid(format!("non-finite value {value} at ({r}, {c})"));
+        }
+        if r >= self.rows || c >= self.cols {
+            return invalid(format!(
+                "entry ({r}, {c}) out of range for {}x{} matrix",
+                self.rows, self.cols
+            ));
+        }
+        let span = self.row_ptr[r]..self.row_ptr[r + 1];
+        match self.col_idx[span.clone()].binary_search(&c) {
+            Ok(k) => {
+                self.values[span.start + k] = value;
+                Ok(())
+            }
+            Err(_) => invalid(format!("entry ({r}, {c}) is not stored")),
+        }
+    }
+
     /// `y = A·x` into a fresh vector.
     ///
     /// # Panics
@@ -532,6 +561,17 @@ mod tests {
         assert_eq!(a.get(0, 2), 2.0);
         assert_eq!(a.get(0, 1), 0.0);
         assert!(!a.is_square());
+    }
+
+    #[test]
+    fn set_overwrites_stored_entries_only() {
+        let mut a = sample();
+        a.set(0, 2, 5.0).unwrap();
+        a.set(1, 1, 0.0).unwrap();
+        assert_eq!((a.get(0, 2), a.get(1, 1), a.nnz()), (5.0, 0.0, 3));
+        assert!(a.set(0, 1, 1.0).is_err());
+        assert!(a.set(2, 0, 1.0).is_err());
+        assert!(a.set(0, 0, f64::INFINITY).is_err());
     }
 
     #[test]

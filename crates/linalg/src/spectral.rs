@@ -1,10 +1,8 @@
-//! Spectral utilities: power iteration for the dominant eigenpair and a
-//! cheap spectral-radius upper bound.
+//! Spectral utilities: power iteration for the dominant eigenpair.
 //!
 //! The QBD stability analysis needs `sp(R) < 1`; the rate matrix `R` is
 //! nonnegative, so power iteration converges to its Perron root from a
-//! positive start vector, and `min(‖R‖₁, ‖R‖_∞)` is a certified upper
-//! bound.
+//! positive start vector.
 //!
 //! The iteration is written against the [`LinearOperator`] abstraction,
 //! so the same code runs on a dense [`Matrix`] or a sparse
@@ -135,17 +133,6 @@ pub fn power_iteration<A: LinearOperator + ?Sized>(
     })
 }
 
-/// A certified upper bound on the spectral radius:
-/// `sp(A) ≤ min(‖A‖₁, ‖A‖_∞)`.
-pub fn spectral_radius_upper_bound(a: &Matrix) -> f64 {
-    a.norm_one().min(a.norm_inf())
-}
-
-/// Sparse counterpart of [`spectral_radius_upper_bound`].
-pub fn spectral_radius_upper_bound_sparse(a: &CsrMatrix) -> f64 {
-    a.norm_one().min(a.norm_inf())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +149,7 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.5, 0.5], &[0.25, 0.75]]).unwrap();
         let p = power_iteration(&a, 1e-13, 10_000).unwrap();
         assert!((p.eigenvalue - 1.0).abs() < 1e-9);
-        assert!(spectral_radius_upper_bound(&a) >= 1.0 - 1e-12);
+        assert!(a.norm_one().min(a.norm_inf()) >= 1.0 - 1e-12);
     }
 
     #[test]
@@ -176,7 +163,8 @@ mod tests {
     fn norm_bound_dominates() {
         let a = Matrix::from_rows(&[&[0.1, 0.7], &[0.2, 0.05]]).unwrap();
         let p = power_iteration(&a, 1e-13, 10_000).unwrap();
-        assert!(p.eigenvalue <= spectral_radius_upper_bound(&a) + 1e-12);
+        // sp(A) ≤ min(‖A‖₁, ‖A‖∞).
+        assert!(p.eigenvalue <= a.norm_one().min(a.norm_inf()) + 1e-12);
     }
 
     #[test]
@@ -200,10 +188,8 @@ mod tests {
         let pd = power_iteration(&d, 1e-13, 100_000).unwrap();
         let ps = power_iteration(&s, 1e-13, 100_000).unwrap();
         assert!((pd.eigenvalue - ps.eigenvalue).abs() < 1e-10);
-        assert!(
-            (spectral_radius_upper_bound(&d) - spectral_radius_upper_bound_sparse(&s)).abs()
-                < 1e-15
-        );
+        assert!((d.norm_one() - s.norm_one()).abs() < 1e-15);
+        assert!((d.norm_inf() - s.norm_inf()).abs() < 1e-15);
     }
 
     #[test]

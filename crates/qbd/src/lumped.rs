@@ -12,11 +12,11 @@
 //! * [`SparseQbdBlocks::solve_scalar_tail`] (in `stationary`) — the
 //!   Theorem 2/3 scalar-tail boundary solve, via sparse Gauss–Seidel
 //!   instead of LU;
-//! * [`SparseQbdBlocks::solve_decay_tail`] — a logarithmic-reduction-style
-//!   truncated solve for models without a scalar tail: the resolved tail
-//!   depth **doubles** per outer round (like logarithmic reduction's
-//!   doubling of the first-passage horizon) until the top level's mass
-//!   falls below a tolerance, all on CSR blocks;
+//! * [`SparseQbdBlocks::solve_decay_tail`] — a closed truncated solve for
+//!   models without a scalar tail: levels `0..L` explicit, the tail above
+//!   them closed through one censored hub state and summed as geometric,
+//!   `L` doubling from 4 until the closure is exact to a tolerance, all on
+//!   CSR blocks;
 //! * [`decay_rate_sparse`](crate::decay_rate_sparse) (in `logred`) — the
 //!   decay-rate-only fast path: `sp(R)` as the root of the Perron
 //!   eigenvalue of `A(z) = A0 + z·A1 + z²·A2` without ever forming `R`.
@@ -70,12 +70,14 @@ pub struct SparseSolveOptions {
     /// each iteration is a forward and a backward pass).
     pub gs_max_sweeps: usize,
     /// Truncation target for [`SparseQbdBlocks::solve_decay_tail`]: the
-    /// solve is accepted once the top retained level holds at most this
-    /// much probability mass.
+    /// hub's return shape `w` is iterated until its flux-weighted change
+    /// is at most this, and `L` levels are accepted once the closed tail
+    /// holds, or the closure may misroute, at most this much probability
+    /// mass.
     pub tail_tol: f64,
-    /// Levels retained by the first truncation round.
+    /// Explicit levels of the first truncation round (at least 2).
     pub initial_levels: usize,
-    /// Hard cap on retained levels (the doubling stops here).
+    /// Hard cap on explicit levels (the doubling stops here).
     pub max_levels: usize,
     /// Cooperative cancellation budget for the solve: deadline, cancel
     /// token and fail-point triggers, polled once per Gauss–Seidel
@@ -421,20 +423,42 @@ impl SparseQbdBlocks {
         Ok(up < down)
     }
 
-    /// Solves the QBD by truncating the level space and doubling the
-    /// truncation depth until the retained tail is numerically complete —
-    /// a logarithmic-reduction-style outer iteration (the resolved depth
-    /// doubles per round, so `L*` levels cost `O(log L*)` rounds) that
-    /// never leaves CSR form and never touches `G` or `R`.
+    /// Solves the QBD on levels `0..L` with the tail above level `L−1`
+    /// closed through one censored hub state, doubling `L` until the
+    /// closure is exact to [`SparseSolveOptions::tail_tol`] — never
+    /// leaving CSR form and never forming `G`, `R` or a dense block.
     ///
-    /// At each round the truncated generator (upward rates of the last
-    /// level folded into its diagonal) is solved by sparse Gauss–Seidel
-    /// with aggregation over the block's classes; every round after the
-    /// first starts from the previous round's solution, its new levels
-    /// filled by the measured per-level decay. The round is accepted
-    /// when the top level's probability mass drops below
-    /// [`SparseSolveOptions::tail_tol`], which bounds both the discarded
-    /// tail mass and the truncation bias of downstream expectations.
+    /// Censoring the levels above `L−1` out of the chain leaves the top
+    /// block `A1 + A0·G`. The solve replaces `G` by the rank-one `e·wᵀ`,
+    /// which is exact for the stationary law when `w` is the shape `π_L·A2
+    /// / (π_L·A2·e)` of the flow down from level `L`. It does so without
+    /// densifying `A0·e·wᵀ`: a hub state receives the upward rate
+    /// `(A0·e)_i` of every top-level state `i` and returns it to state `j`
+    /// at rate `κ·w_j`, `κ = ‖A1‖∞`; censoring the hub out gives exactly
+    /// `A1 + A0·e·wᵀ` for any `κ > 0`. The system stays a generator with
+    /// `2m + 1` more entries and is solved by Gauss–Seidel with
+    /// aggregation over the block's classes, the hub in the top level's
+    /// last class; its probability is dropped afterwards.
+    ///
+    /// `w` starts from the phase law `π` of `A0 + A1 + A2` and is set to
+    /// the shape `x_top·A2 / (x_top·A2·e)` of the solved top level
+    /// `x_top`, each update a warm-started re-solve, until the
+    /// flux-weighted change `(x_top·A0·e)·‖Δw‖₁` is at most `tail_tol`.
+    /// The tail above the top level is summed as geometric with the
+    /// cut-balance ratio `η = x_top·A0·e / x_top·A2·e`: each level `L−1+k`
+    /// is `ηᵏ·x_top`, so the top level weighs `1/(1−η)` in the
+    /// normalization.
+    ///
+    /// `L` starts at [`SparseSolveOptions::initial_levels`]. A round
+    /// with `w` settled is accepted when the closed tail holds at most
+    /// `tail_tol` of the mass, or when the mass the closure may misplace
+    /// is at most `tail_tol`: the closure and the tail sum both give every
+    /// level from `L−1` up the top level's shape, so they misplace at
+    /// most the mass there times the shape change `‖x̂_{L−1} −
+    /// x̂_{L−2}‖₁` (`x̂ = x/(x·e)`) between the top two levels, which
+    /// decays geometrically in `L`. Otherwise, or when the change of `w`
+    /// stops falling, `L` doubles and the next round starts from this
+    /// one, its new levels filled by `η`-scaled copies of the top level.
     ///
     /// This is the upper-bound path for models whose tail is genuinely
     /// matrix-geometric (no Theorem 2/3 scalar shortcut); use
@@ -444,14 +468,15 @@ impl SparseQbdBlocks {
     /// # Errors
     ///
     /// * [`QbdError::Unstable`] if Neuts' drift condition fails.
-    /// * [`QbdError::NoConvergence`] if the cap on retained levels is hit
-    ///   before the tail mass target, or a Gauss–Seidel solve stalls.
+    /// * [`QbdError::NoConvergence`] if the cap on explicit levels is hit
+    ///   before a round is accepted, or a Gauss–Seidel solve stalls.
     /// * [`QbdError::Interrupted`] when [`SparseSolveOptions::budget`]
     ///   trips mid-solve.
     ///
     /// # Examples
     ///
-    /// M/M/1 (λ = 0.6): level masses decay geometrically with ratio ρ.
+    /// M/M/1 (λ = 0.6): level masses decay geometrically with ratio ρ,
+    /// and the closure is exact.
     ///
     /// ```
     /// use slb_linalg::CsrMatrix;
@@ -468,113 +493,289 @@ impl SparseQbdBlocks {
     /// let ratio = sol.levels()[3][0] / sol.levels()[2][0];
     /// assert!((ratio - 0.6).abs() < 1e-9);
     /// assert!((sol.decay() - 0.6).abs() < 1e-6);
+    /// assert!((sol.total_mass() - 1.0).abs() < 1e-12);
     /// # Ok(())
     /// # }
     /// ```
     pub fn solve_decay_tail(&self, opts: &SparseSolveOptions) -> Result<TruncatedStationary> {
-        let (up, down) = self.drifts_budgeted(&opts.budget)?;
+        let pi = self.phase_solve(&opts.budget)?.x;
+        let closure = Closure::new(self);
+        let (up, down) = (dot(&pi, &closure.a0e), dot(&pi, &closure.a2e));
         if up >= down {
             return Err(QbdError::Unstable {
                 up_drift: up,
                 down_drift: down,
             });
         }
-        let nb = self.boundary_len();
-        let m = self.level_len();
+        let tol = opts.tail_tol;
+        let mut w = closure.entry_shape(&pi);
         let mut levels = opts.initial_levels.max(2);
-        let mut start = None;
+        let mut start: Option<Vec<f64>> = None;
         let mut total_sweeps = 0;
         loop {
             opts.budget
                 .check("decay_tail_truncation", levels, f64::NAN)?;
-            let gs = self.solve_truncation(levels, start.as_deref(), opts)?;
-            total_sweeps += gs.sweeps;
-            let level = |l: usize| &gs.x[nb + l * m..nb + (l + 1) * m];
-            let mass = |l: usize| -> f64 { level(l).iter().sum() };
-            let (m_lo, m_hi) = (mass(levels - 2), mass(levels - 1));
-            let decay = if m_lo > 0.0 {
-                (m_hi / m_lo).min(1.0)
-            } else {
-                0.0
+            let mut classes = self.system_classes(levels);
+            classes.push(*classes.last().expect("at least one level"));
+            let ones = vec![1.0; classes.len()];
+            let mut mt = closure.truncated_balance_transposed(levels)?;
+            let mut last_shift = f64::INFINITY;
+            let (closed, settled) = loop {
+                closure.set_hub_returns(&mut mt, &w)?;
+                let gs = null_vector_gs(&mt, &ones, &opts.gs(&classes, start.as_deref()))?;
+                total_sweeps += gs.sweeps;
+                let closed = closure.close(gs, levels);
+                let shift = closed.flux * l1_distance(&closed.w, &w);
+                w.clone_from(&closed.w);
+                // A shift that stops falling is left to the next round,
+                // whose smaller top-level flux shrinks it.
+                if shift <= tol || shift >= last_shift {
+                    break (closed, shift <= tol);
+                }
+                last_shift = shift;
+                start = Some(closed.raw);
             };
-            if m_hi <= opts.tail_tol {
-                let mut boundary = gs.x[..nb].to_vec();
-                slb_linalg::vector::clamp_nonnegative(&mut boundary, 1e-8);
-                let lvls = (0..levels)
-                    .map(|l| {
-                        let mut v = level(l).to_vec();
-                        slb_linalg::vector::clamp_nonnegative(&mut v, 1e-8);
-                        v
-                    })
-                    .collect();
-                return Ok(TruncatedStationary {
-                    boundary,
-                    levels: lvls,
-                    decay,
-                    residual: gs.residual,
-                    sweeps: gs.sweeps,
-                    total_sweeps,
-                });
+            if settled && closed.complete(tol) {
+                return Ok(closed.finish(self, levels, total_sweeps));
             }
             if levels >= opts.max_levels {
                 return Err(QbdError::NoConvergence {
                     method: "decay_tail_truncation",
                     iterations: levels,
-                    residual: m_hi,
+                    residual: closed.tail_mass.min(closed.closure_error),
                 });
             }
             let next = (levels * 2).min(opts.max_levels);
-            start = Some(extend_by_decay(gs.x, m, next - levels, decay));
+            start = Some(closed.extend(self, levels, next));
             levels = next;
         }
     }
+}
 
-    /// One round of [`SparseQbdBlocks::solve_decay_tail`]: the truncated
-    /// system with `levels` levels, solved from `start` (uniform when
-    /// `None`).
-    fn solve_truncation(
-        &self,
-        levels: usize,
-        start: Option<&[f64]>,
-        opts: &SparseSolveOptions,
-    ) -> Result<NullVector> {
-        let mt = self.truncated_balance_transposed(levels)?;
-        let classes = self.system_classes(levels);
-        let gs_opts = opts.gs(&classes, start);
-        Ok(null_vector_gs(&mt, &vec![1.0; mt.rows()], &gs_opts)?)
+/// What the closed rounds of [`SparseQbdBlocks::solve_decay_tail`]
+/// share: the blocks, their cut rates `A0·e` and `A2·e`, the level
+/// states that `A2` enters (the only ones the hub returns to) and the
+/// hub's rate scale `κ = ‖A1‖∞`.
+struct Closure<'a> {
+    blocks: &'a SparseQbdBlocks,
+    a0e: Vec<f64>,
+    a2e: Vec<f64>,
+    entered: Vec<usize>,
+    kappa: f64,
+}
+
+impl<'a> Closure<'a> {
+    fn new(blocks: &'a SparseQbdBlocks) -> Self {
+        let m = blocks.level_len();
+        let inflow = blocks.a2.vec_mat(&vec![1.0; m]);
+        Closure {
+            a0e: blocks.a0.row_sums(),
+            a2e: blocks.a2.row_sums(),
+            entered: (0..m).filter(|&j| inflow[j] > 0.0).collect(),
+            kappa: blocks.a1.norm_inf(),
+            blocks,
+        }
     }
 
-    /// Assembles the transpose of the truncated finite balance system
-    /// (boundary + `levels` repeating levels, upward rates of the top
-    /// level folded into its diagonal so the system stays a generator).
-    pub(crate) fn truncated_balance_transposed(&self, levels: usize) -> Result<CsrMatrix> {
-        assert!(levels >= 1, "need at least one repeating level");
-        let nb = self.boundary_len();
-        let m = self.level_len();
-        let k = nb + levels * m;
-        let mut coo = CooBuilder::new(k, k);
-        add_csr_block_transposed(&mut coo, 0, 0, &self.r00, 1.0)?;
-        add_csr_block_transposed(&mut coo, 0, nb, &self.r01, 1.0)?;
-        add_csr_block_transposed(&mut coo, nb, 0, &self.r10, 1.0)?;
-        for l in 0..levels {
-            let row = nb + l * m;
-            add_csr_block_transposed(&mut coo, row, row, &self.a1, 1.0)?;
-            if l + 1 < levels {
-                add_csr_block_transposed(&mut coo, row, row + m, &self.a0, 1.0)?;
-            } else {
-                // Fold A0 into the top diagonal: the lost upward rate
-                // becomes a removed self-loop, keeping row sums at zero.
-                for (r, excess) in self.a0.row_sums().iter().enumerate() {
-                    coo.add(row + r, row + r, *excess)
-                        .map_err(QbdError::Linalg)?;
-                }
-            }
-            if l > 0 {
-                add_csr_block_transposed(&mut coo, row, row - m, &self.a2, 1.0)?;
+    /// The entry shape `x·A2 / (x·A2·e)` of the flow down from a level
+    /// with vector `x` (uniform over the entered states when no flow
+    /// leaves it).
+    fn entry_shape(&self, x: &[f64]) -> Vec<f64> {
+        let mut w = self.blocks.a2.vec_mat(x);
+        let total: f64 = w.iter().sum();
+        if total > 0.0 {
+            w.iter_mut().for_each(|v| *v /= total);
+        } else {
+            let uniform = 1.0 / self.entered.len() as f64;
+            for &j in &self.entered {
+                w[j] = uniform;
             }
         }
+        w
+    }
+
+    /// Assembles the transpose of the closed truncated balance system:
+    /// the boundary, `levels` repeating levels and, last, the hub state
+    /// that takes the top level's upward rates `A0·e`. The hub's return
+    /// rates to the entered top-level states are stored but left for
+    /// [`Closure::set_hub_returns`] to set; storing no others keeps the
+    /// coarse band of the aggregation step as narrow as without the hub.
+    fn truncated_balance_transposed(&self, levels: usize) -> Result<CsrMatrix> {
+        let b = self.blocks;
+        let nb = b.boundary_len();
+        let m = b.level_len();
+        let hub = nb + levels * m;
+        let mut coo = CooBuilder::new(hub + 1, hub + 1);
+        add_csr_block_transposed(&mut coo, 0, 0, &b.r00, 1.0)?;
+        add_csr_block_transposed(&mut coo, 0, nb, &b.r01, 1.0)?;
+        add_csr_block_transposed(&mut coo, nb, 0, &b.r10, 1.0)?;
+        for l in 0..levels {
+            let row = nb + l * m;
+            add_csr_block_transposed(&mut coo, row, row, &b.a1, 1.0)?;
+            if l + 1 < levels {
+                add_csr_block_transposed(&mut coo, row, row + m, &b.a0, 1.0)?;
+            }
+            if l > 0 {
+                add_csr_block_transposed(&mut coo, row, row - m, &b.a2, 1.0)?;
+            }
+        }
+        let top = hub - m;
+        let linalg = QbdError::Linalg;
+        for (i, &up) in self.a0e.iter().enumerate() {
+            coo.add(hub, top + i, up).map_err(linalg)?;
+        }
+        for &j in &self.entered {
+            coo.add(top + j, hub, 1.0).map_err(linalg)?;
+        }
+        coo.add(hub, hub, -1.0).map_err(linalg)?;
         Ok(coo.build())
     }
+
+    /// Sets the hub's rates in a system from
+    /// [`Closure::truncated_balance_transposed`] (the hub is its last
+    /// state): `κ·w_j` back to top-level state `j`, and `−κ` on its
+    /// diagonal.
+    fn set_hub_returns(&self, mt: &mut CsrMatrix, w: &[f64]) -> Result<()> {
+        let hub = mt.rows() - 1;
+        let top = hub - w.len();
+        for &j in &self.entered {
+            mt.set(top + j, hub, self.kappa * w[j])?;
+        }
+        Ok(mt.set(hub, hub, -self.kappa)?)
+    }
+
+    /// Reads one closed solve at `levels` levels: its top level's cut
+    /// ratio and entry shape, and its tail.
+    fn close(&self, gs: NullVector, levels: usize) -> Closed {
+        let (nb, m) = (self.blocks.boundary_len(), self.blocks.level_len());
+        let hub = nb + levels * m;
+        let top = &gs.x[hub - m..hub];
+        let (up, down) = (dot(top, &self.a0e), dot(top, &self.a2e));
+        let eta = if down > 0.0 {
+            (up / down).min(1.0 - f64::EPSILON)
+        } else {
+            0.0
+        };
+        let top_mass: f64 = top.iter().sum();
+        let explicit: f64 = gs.x[..hub].iter().sum();
+        let tail = top_mass * eta / (1.0 - eta);
+        let scale = 1.0 / (explicit + tail);
+        let below = &gs.x[hub - 2 * m..hub - m];
+        let below_mass: f64 = below.iter().sum();
+        let shape_change = if top_mass > 0.0 && below_mass > 0.0 {
+            top.iter()
+                .zip(below)
+                .map(|(t, b)| (t / top_mass - b / below_mass).abs())
+                .sum()
+        } else {
+            0.0
+        };
+        Closed {
+            closure_error: (top_mass + tail) * scale * shape_change,
+            w: self.entry_shape(top),
+            flux: up * scale,
+            eta,
+            tail_mass: tail * scale,
+            scale,
+            residual: gs.residual,
+            sweeps: gs.sweeps,
+            raw: gs.x,
+        }
+    }
+}
+
+/// `x·y`.
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    x.iter().zip(y).map(|(a, b)| a * b).sum()
+}
+
+/// `‖x − y‖₁`.
+fn l1_distance(x: &[f64], y: &[f64]) -> f64 {
+    x.iter().zip(y).map(|(a, b)| (a - b).abs()).sum()
+}
+
+/// One closed solve of [`SparseQbdBlocks::solve_decay_tail`] at `L`
+/// levels, with its tail summed.
+struct Closed {
+    /// The Gauss–Seidel solution as solved: boundary, levels, hub.
+    raw: Vec<f64>,
+    residual: f64,
+    sweeps: usize,
+    /// Scale that normalizes the explicit levels plus the tail.
+    scale: f64,
+    /// Upward flux `x_top·A0·e` out of the top level (normalized).
+    flux: f64,
+    /// Cut-balance ratio `x_top·A0·e / x_top·A2·e` of the top level.
+    eta: f64,
+    /// Entry shape of the top level: the next `w`.
+    w: Vec<f64>,
+    /// Mass above the top level.
+    tail_mass: f64,
+    /// The mass of the top level and the tail times the change `‖x̂_{L−1}
+    /// − x̂_{L−2}‖₁` of the level shape `x̂ = x/(x·e)` below the top: the
+    /// mass the closure may misplace by giving every level from the top
+    /// one up the top level's shape.
+    closure_error: f64,
+}
+
+impl Closed {
+    /// Whether `L` levels suffice: the tail holds at most `tol` of the
+    /// mass, or the closure misplaces at most `tol` of it.
+    fn complete(&self, tol: f64) -> bool {
+        self.tail_mass <= tol || self.closure_error <= tol
+    }
+
+    /// The start of the next round at `next` levels: this round's levels,
+    /// then `η`-scaled copies of its top level, then the hub scaled
+    /// alike.
+    fn extend(self, blocks: &SparseQbdBlocks, levels: usize, next: usize) -> Vec<f64> {
+        let m = blocks.level_len();
+        let hub = blocks.boundary_len() + levels * m;
+        let mut x = self.raw;
+        let h = x.pop().expect("hub state");
+        x.reserve((next - levels) * m + 1);
+        let mut factor = 1.0;
+        for _ in levels..next {
+            factor *= self.eta;
+            x.extend_from_within(hub - m..hub);
+            let len = x.len();
+            x[len - m..].iter_mut().for_each(|v| *v *= factor);
+        }
+        x.push(h * factor);
+        x
+    }
+
+    /// The accepted solution: the hub dropped, the rest normalized with
+    /// the tail.
+    fn finish(
+        self,
+        blocks: &SparseQbdBlocks,
+        levels: usize,
+        total_sweeps: usize,
+    ) -> TruncatedStationary {
+        let (nb, m) = (blocks.boundary_len(), blocks.level_len());
+        let part = |range: std::ops::Range<usize>| {
+            let mut v: Vec<f64> = self.raw[range].iter().map(|p| p * self.scale).collect();
+            slb_linalg::vector::clamp_nonnegative(&mut v, 1e-8);
+            v
+        };
+        TruncatedStationary {
+            boundary: part(0..nb),
+            levels: (0..levels)
+                .map(|l| part(nb + l * m..nb + (l + 1) * m))
+                .collect(),
+            decay: self.eta,
+            residual: self.residual,
+            sweeps: self.sweeps,
+            total_sweeps,
+        }
+    }
+}
+
+/// `Σ_{k≥0} ηᵏ·(L−1+k)`: the level index summed over the top level
+/// `L−1` and its geometric tail, per unit of top-level mass.
+fn tail_growth(levels: usize, eta: f64) -> f64 {
+    (levels - 1) as f64 / (1.0 - eta) + eta / ((1.0 - eta) * (1.0 - eta))
 }
 
 /// Adds `scale · B` at block position `(r0, c0)` of the **transposed**
@@ -595,26 +796,12 @@ pub(crate) fn add_csr_block_transposed(
     Ok(())
 }
 
-/// Extends a truncated solution `x` by `extra` levels of `m` states:
-/// each new level is the one below it scaled by `decay` (a zero decay
-/// leaves them empty for the first iteration to fill).
-fn extend_by_decay(mut x: Vec<f64>, m: usize, extra: usize, decay: f64) -> Vec<f64> {
-    x.reserve(extra * m);
-    for _ in 0..extra {
-        let top = x.len() - m;
-        x.extend_from_within(top..);
-        for v in &mut x[top + m..] {
-            *v *= decay;
-        }
-    }
-    x
-}
-
-/// Stationary distribution of a QBD solved by level truncation
-/// ([`SparseQbdBlocks::solve_decay_tail`]): the boundary vector plus an
-/// explicit vector per retained level. The levels beyond the last
-/// retained one carry (by construction) less mass than the accepted
-/// tail tolerance and are treated as empty.
+/// Stationary distribution of a QBD solved by closed level truncation
+/// ([`SparseQbdBlocks::solve_decay_tail`]): the boundary vector, an
+/// explicit vector per retained level `0..L`, and the geometric tail
+/// `π_{L−1+k} = ηᵏ·π_{L−1}` above the top level, which
+/// [`TruncatedStationary::total_mass`] and
+/// [`TruncatedStationary::mean_linear_cost`] include.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TruncatedStationary {
     boundary: Vec<f64>,
@@ -631,27 +818,28 @@ impl TruncatedStationary {
         &self.boundary
     }
 
-    /// Stationary probabilities per retained repeating level (level 0
-    /// first).
+    /// Stationary probabilities per explicit level `0..L` (level 0
+    /// first); the tail above them is [`TruncatedStationary::decay`].
     pub fn levels(&self) -> &[Vec<f64>] {
         &self.levels
     }
 
-    /// Empirical per-level decay `Σπ_{L−1} / Σπ_{L−2}` of the last two
-    /// retained levels — a cross-check against
-    /// [`decay_rate_sparse`](crate::decay_rate_sparse) (only meaningful
-    /// when those levels carry mass above round-off).
+    /// The tail's decay `η = π_{L−1}·A0·e / π_{L−1}·A2·e`, the
+    /// cut-balance ratio of the accepted top level: an estimate of
+    /// `sp(R)` (compare [`decay_rate_sparse`](crate::decay_rate_sparse)),
+    /// meaningful only where the tail carries mass above
+    /// [`SparseSolveOptions::tail_tol`].
     pub fn decay(&self) -> f64 {
         self.decay
     }
 
-    /// Residual `‖π M‖∞` of the accepted truncated system.
+    /// Residual `‖π M‖∞` of the accepted closed system.
     pub fn residual(&self) -> f64 {
         self.residual
     }
 
-    /// Symmetric Gauss–Seidel iterations of the accepted (last)
-    /// truncation round only, each one forward and one backward pass
+    /// Symmetric Gauss–Seidel iterations of the accepted (last) solve
+    /// only, each one forward and one backward pass
     /// ([`NullVector::sweeps`]); see [`TruncatedStationary::total_sweeps`]
     /// for the cost of the whole solve.
     pub fn sweeps(&self) -> usize {
@@ -659,24 +847,23 @@ impl TruncatedStationary {
     }
 
     /// Symmetric Gauss–Seidel iterations (two passes each) of every
-    /// truncation round together, the accepted one included.
+    /// solve together, the accepted one included.
     pub fn total_sweeps(&self) -> usize {
         self.total_sweeps
     }
 
-    /// Total retained probability mass (1 up to round-off).
+    /// Total probability mass, the tail included (1 up to round-off).
     pub fn total_mass(&self) -> f64 {
+        let per_level = |v: &Vec<f64>| v.iter().sum::<f64>();
+        let (top, below) = self.levels.split_last().expect("at least two levels");
         self.boundary.iter().sum::<f64>()
-            + self
-                .levels
-                .iter()
-                .map(|v| v.iter().sum::<f64>())
-                .sum::<f64>()
+            + below.iter().map(per_level).sum::<f64>()
+            + per_level(top) / (1.0 - self.decay)
     }
 
     /// Expectation of a cost that is `c_b(i)` on boundary state `i` and
-    /// `c0(j) + q·growth(j)` on state `j` of repeating level `q` — the
-    /// truncated analogue of
+    /// `c0(j) + q·growth(j)` on state `j` of repeating level `q`, the
+    /// tail summed in closed form — the truncated analogue of
     /// [`QbdStationary::mean_linear_cost`](crate::QbdStationary::mean_linear_cost).
     ///
     /// # Panics
@@ -688,10 +875,16 @@ impl TruncatedStationary {
         assert_eq!(c0.len(), m, "level cost length");
         assert_eq!(growth.len(), m, "growth length");
         let mut total: f64 = self.boundary.iter().zip(c_b).map(|(p, c)| p * c).sum();
-        for (q, v) in self.levels.iter().enumerate() {
+        let (top, below) = self.levels.split_last().expect("at least two levels");
+        for (q, v) in below.iter().enumerate() {
             for (j, &p) in v.iter().enumerate() {
                 total += p * (c0[j] + q as f64 * growth[j]);
             }
+        }
+        let eta = self.decay;
+        let level_sum = tail_growth(self.levels.len(), eta);
+        for (j, &p) in top.iter().enumerate() {
+            total += p * (c0[j] / (1.0 - eta) + growth[j] * level_sum);
         }
         total
     }
@@ -773,9 +966,14 @@ mod tests {
             .solve_decay_tail(&SparseSolveOptions::default())
             .unwrap();
         assert!((trunc.boundary()[0] - full.boundary()[0]).abs() < 1e-10);
+        // Explicit levels, then the geometric tail above the top one.
+        let top = trunc.levels().len() - 1;
         for q in 0..6 {
             let want = full.level_prob(q)[0];
-            let got = trunc.levels()[q][0];
+            let got = match trunc.levels().get(q) {
+                Some(level) => level[0],
+                None => trunc.levels()[top][0] * trunc.decay().powi((q - top) as i32),
+            };
             assert!((got - want).abs() < 1e-10, "level {q}: {got} vs {want}");
         }
         assert!((trunc.total_mass() - 1.0).abs() < 1e-9);
@@ -823,17 +1021,32 @@ mod tests {
 
     #[test]
     fn warm_round_takes_fewer_sweeps_than_cold() {
-        // Round 32 → 64 levels of the doubling, where the retained tail
-        // (mass ~0.6³² at the top) is already close to its final shape.
+        // Closed round 32 → 64 levels of the doubling: the 32-level
+        // solution with its hub shape settled, extended by η-scaled
+        // copies of its top level, is already close to the 64-level one.
         let sparse = SparseQbdBlocks::from_dense(&two_phase_dense());
         let opts = SparseSolveOptions::default();
-        let (m, nb) = (sparse.level_len(), sparse.boundary_len());
-        let first = sparse.solve_truncation(32, None, &opts).unwrap();
-        let mass = |x: &[f64], l: usize| -> f64 { x[nb + l * m..nb + (l + 1) * m].iter().sum() };
-        let decay = mass(&first.x, 31) / mass(&first.x, 30);
-        let start = extend_by_decay(first.x, m, 32, decay);
-        let warm = sparse.solve_truncation(64, Some(&start), &opts).unwrap();
-        let cold = sparse.solve_truncation(64, None, &opts).unwrap();
+        let closure = Closure::new(&sparse);
+        let solve = |levels: usize, w: &[f64], start: Option<&[f64]>| {
+            let mut classes = sparse.system_classes(levels);
+            classes.push(*classes.last().unwrap());
+            let mut mt = closure.truncated_balance_transposed(levels).unwrap();
+            closure.set_hub_returns(&mut mt, w).unwrap();
+            let ones = vec![1.0; classes.len()];
+            null_vector_gs(&mt, &ones, &opts.gs(&classes, start)).unwrap()
+        };
+        let mut w = vec![0.5, 0.5];
+        let first = loop {
+            let closed = closure.close(solve(32, &w, None), 32);
+            let settled = l1_distance(&closed.w, &w) < 1e-14;
+            w.clone_from(&closed.w);
+            if settled {
+                break closed;
+            }
+        };
+        let start = first.extend(&sparse, 32, 64);
+        let warm = solve(64, &w, Some(&start));
+        let cold = solve(64, &w, None);
         assert!(
             2 * warm.sweeps < cold.sweeps,
             "warm {} vs cold {} sweeps",
@@ -843,6 +1056,23 @@ mod tests {
         for (w, c) in warm.x.iter().zip(&cold.x) {
             assert!((w - c).abs() < 1e-10, "{w} vs {c}");
         }
+    }
+
+    #[test]
+    fn closure_is_exact_on_a_geometric_tail() {
+        // M/M/1 has a geometric tail from level 0 on, so the first round
+        // (four explicit levels) is exact, its tail mass included.
+        let rho = 0.9;
+        let sparse = SparseQbdBlocks::from_dense(&mm1_dense(rho, 1.0));
+        let sol = sparse
+            .solve_decay_tail(&SparseSolveOptions::default())
+            .unwrap();
+        assert_eq!(sol.levels().len(), 4);
+        assert!((sol.decay() - rho).abs() < 1e-12, "{}", sol.decay());
+        assert!((sol.total_mass() - 1.0).abs() < 1e-12);
+        // Mean jobs ρ/(1−ρ): the boundary state holds 0, level q holds q+1.
+        let mean = sol.mean_linear_cost(&[0.0], &[1.0], &[1.0]);
+        assert!((mean - rho / (1.0 - rho)).abs() < 1e-9, "{mean}");
     }
 
     #[test]
