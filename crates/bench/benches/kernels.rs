@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use slb_core::{BoundKind, LumpedModel, Sqd};
 use slb_linalg::Matrix;
-use slb_qbd::{cyclic_reduction, logarithmic_reduction, QbdBlocks, SolveOptions};
+use slb_qbd::{cyclic_reduction, logarithmic_reduction, QbdBlocks};
 use slb_sim::{Policy, SimConfig};
 
 /// A stable m-phase MMPP-modulated quasi-birth-death: ring phase
@@ -68,7 +68,7 @@ fn bench_g_kernels(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("stationary_solve", format!("m{m}")),
             &blocks,
-            |b, blocks| b.iter(|| blocks.solve(&SolveOptions::default()).unwrap()),
+            |b, blocks| b.iter(|| blocks.solve().unwrap()),
         );
     }
     group.finish();
@@ -111,9 +111,6 @@ fn bench_lumped(c: &mut Criterion) {
     let sqd = Sqd::new(16, 2, 0.5).unwrap();
     group.bench_function(BenchmarkId::new("lumped_lower", "N16_T4"), |b| {
         b.iter(|| sqd.lower_bound_lumped(4).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("lumped_decay", "N16_T4"), |b| {
-        b.iter(|| sqd.decay_rate_lumped(BoundKind::Upper, 4).unwrap())
     });
     let query = Sqd::new(16, 2, 0.45).unwrap();
     group.bench_function(BenchmarkId::new("lumped_upper", "N16_T3"), |b| {

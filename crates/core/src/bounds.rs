@@ -13,7 +13,7 @@
 //! needs the full rate matrix ([`Sqd::upper_bound`]).
 
 use slb_linalg::Matrix;
-use slb_qbd::{QbdBlocks, SolveOptions};
+use slb_qbd::QbdBlocks;
 
 use crate::occupancy::occupancy_to_state;
 use crate::{asymptotic, CoreError, LumpedModel, ModelVariant, OccupancySpace, PollMode, Result};
@@ -314,7 +314,7 @@ impl BoundModel {
     /// (upper model at high `λ` / small `T`); solver failures otherwise.
     pub fn solve_full(&self) -> Result<BoundResult> {
         let blocks = self.qbd_blocks()?;
-        let sol = blocks.solve(&SolveOptions::default())?;
+        let sol = blocks.solve()?;
         Ok(self.result_from(&sol))
     }
 
@@ -332,7 +332,7 @@ impl BoundModel {
         }
         let blocks = self.qbd_blocks()?;
         let beta = self.sqd.lambda.powi(self.sqd.n as i32);
-        let sol = blocks.solve_with_scalar_tail(beta, &SolveOptions::default())?;
+        let sol = blocks.solve_with_scalar_tail(beta)?;
         Ok(self.result_from(&sol))
     }
 
@@ -348,7 +348,7 @@ impl BoundModel {
     /// As [`BoundModel::solve_full`].
     pub fn queue_tail_fractions(&self, k_max: u32) -> Result<Vec<f64>> {
         let blocks = self.qbd_blocks()?;
-        let sol = blocks.solve(&SolveOptions::default())?;
+        let sol = blocks.solve()?;
         let n = self.sqd.n as f64;
         let sp = self.space();
         let mut out = Vec::with_capacity(k_max as usize + 1);
@@ -390,9 +390,9 @@ impl BoundModel {
         let sol = match self.lumped.kind() {
             BoundKind::Lower => {
                 let beta = self.sqd.lambda.powi(self.sqd.n as i32);
-                blocks.solve_with_scalar_tail(beta, &SolveOptions::default())?
+                blocks.solve_with_scalar_tail(beta)?
             }
-            BoundKind::Upper => blocks.solve(&SolveOptions::default())?,
+            BoundKind::Upper => blocks.solve()?,
         };
 
         // The kernel deliberately uses the *base* policy: the bound

@@ -27,15 +27,14 @@
 //! where the repeating block holds `C(N+T−1, T)` states (32,896 at
 //! `N = 256, T = 2`; 131,328 at `N = 512`) and a dense block would need
 //! gigabytes: the Theorem-3 scalar tail for the lower bound
-//! ([`Sqd::lower_bound_lumped`]), a closed level-doubling truncation
-//! for the upper bound ([`Sqd::upper_bound_lumped`]), and a
-//! decay-rate-only fast path ([`Sqd::decay_rate_lumped`]).
+//! ([`Sqd::lower_bound_lumped`]) and a closed level-doubling truncation
+//! for the upper bound ([`Sqd::upper_bound_lumped`]).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use slb_linalg::{Budget, CooBuilder};
-use slb_qbd::{decay_rate_sparse, decay_rate_sparse_budgeted, SparseQbdBlocks, SparseSolveOptions};
+use slb_qbd::{SparseQbdBlocks, SparseSolveOptions};
 
 use crate::combinatorics::{group_arrival_probability, group_arrival_probability_with_replacement};
 use crate::transitions::MU;
@@ -71,9 +70,10 @@ pub enum OccLocation {
 ///
 /// ```
 /// use slb_core::occupancy::OccupancySpace;
+/// use slb_linalg::Budget;
 ///
 /// # fn main() -> Result<(), slb_core::CoreError> {
-/// let space = OccupancySpace::new(3, 2)?;
+/// let space = OccupancySpace::new(3, 2, &Budget::unlimited())?;
 /// // Each repeating block holds C(N+T−1, T) = C(4, 2) = 6 states.
 /// assert_eq!(space.block_len(), 6);
 /// # Ok(())
@@ -98,25 +98,17 @@ pub struct OccupancySpace {
 
 impl OccupancySpace {
     /// Enumerates the boundary block and the template repeating block for
-    /// `n` servers and threshold `t`, in canonical `(total, lex)` order.
+    /// `n` servers and threshold `t`, in canonical `(total, lex)` order,
+    /// under a cooperative [`Budget`] polled between enumeration batches
+    /// and after each sort — at production `N` the enumeration alone is
+    /// seconds of work, and it runs before any solver gets a chance to
+    /// poll.
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidParameters`] if `n < 2` or `t < 1`.
-    pub fn new(n: usize, t: u32) -> Result<Self> {
-        Self::new_budgeted(n, t, &Budget::unlimited())
-    }
-
-    /// [`OccupancySpace::new`] under a cooperative [`Budget`], polled
-    /// between enumeration batches — at production `N` the enumeration
-    /// alone is seconds of work, and it runs before any solver gets a
-    /// chance to poll.
-    ///
-    /// # Errors
-    ///
-    /// As [`OccupancySpace::new`], plus [`CoreError::Interrupted`] when
-    /// the budget trips mid-enumeration.
-    pub fn new_budgeted(n: usize, t: u32, budget: &Budget) -> Result<Self> {
+    /// [`CoreError::InvalidParameters`] if `n < 2` or `t < 1`;
+    /// [`CoreError::Interrupted`] when the budget trips mid-enumeration.
+    pub fn new(n: usize, t: u32, budget: &Budget) -> Result<Self> {
         if n < 2 {
             return Err(CoreError::InvalidParameters {
                 reason: format!("need at least 2 servers for the bound models, got {n}"),
@@ -722,7 +714,7 @@ impl LumpedModel {
     /// As [`LumpedModel::new`], plus [`CoreError::Interrupted`] when
     /// the budget trips mid-enumeration.
     pub fn new_budgeted(sqd: Sqd, kind: BoundKind, t: u32, budget: &Budget) -> Result<Self> {
-        let space = OccupancySpace::new_budgeted(sqd.n(), t, budget)?;
+        let space = OccupancySpace::new(sqd.n(), t, budget)?;
         Ok(LumpedModel {
             sqd,
             kind,
@@ -945,31 +937,6 @@ impl LumpedModel {
         Ok(self.result(sol.mean_linear_cost(&cb, &c0, &growth), sol.residual()))
     }
 
-    /// The tail decay rate `sp(R)` of this model, computed without ever
-    /// forming `R` (Perron-root bisection of `A(z) = A0 + zA1 + z²A2`).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UpperBoundUnstable`] when the drift condition fails;
-    /// solver failures otherwise.
-    pub fn decay_rate(&self, tol: f64) -> Result<f64> {
-        Ok(decay_rate_sparse(&self.qbd_blocks()?, tol)?)
-    }
-
-    /// [`LumpedModel::decay_rate`] under a cooperative [`Budget`].
-    ///
-    /// # Errors
-    ///
-    /// As [`LumpedModel::decay_rate`], plus [`CoreError::Interrupted`]
-    /// when the budget trips mid-bisection.
-    pub fn decay_rate_budgeted(&self, tol: f64, budget: &Budget) -> Result<f64> {
-        Ok(decay_rate_sparse_budgeted(
-            &self.qbd_blocks_budgeted(budget)?,
-            tol,
-            budget,
-        )?)
-    }
-
     /// Waiting-job cost vectors: boundary costs, template-block costs,
     /// and the per-level growth (`N` — every server is busy on repeating
     /// levels).
@@ -1077,31 +1044,6 @@ impl Sqd {
         opts: &SparseSolveOptions,
     ) -> Result<BoundResult> {
         LumpedModel::new_budgeted(*self, BoundKind::Upper, t, &opts.budget)?.solve_truncated(opts)
-    }
-
-    /// The geometric tail decay rate `sp(R)` of a bound model, via the
-    /// sparse Perron-root fast path — no stationary solve, no `R`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UpperBoundUnstable`] when the drift condition fails.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use slb_core::{BoundKind, Sqd};
-    ///
-    /// # fn main() -> Result<(), slb_core::CoreError> {
-    /// let sqd = Sqd::new(4, 2, 0.8)?;
-    /// let eta = sqd.decay_rate_lumped(BoundKind::Lower, 2)?;
-    /// // The lower model's tail decays at least as fast as ρᴺ … scaled
-    /// // chains decay geometrically with rate strictly below 1.
-    /// assert!(eta > 0.0 && eta < 1.0);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn decay_rate_lumped(&self, kind: BoundKind, t: u32) -> Result<f64> {
-        LumpedModel::new(*self, kind, t)?.decay_rate(1e-10)
     }
 }
 
@@ -1298,7 +1240,7 @@ mod tests {
     #[test]
     fn ranked_locate_matches_binary_search() {
         for (n, t) in RANKED_SPACES {
-            let sp = OccupancySpace::new(n, t).unwrap();
+            let sp = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
             for i in 0..sp.boundary_len() {
                 let occ = sp.boundary_state(i);
                 assert_eq!(oracle_locate(&sp, occ), Some(OccLocation::Boundary(i)));
@@ -1326,7 +1268,7 @@ mod tests {
     #[test]
     fn locate_returns_none_off_the_space() {
         for (n, t) in RANKED_SPACES {
-            let sp = OccupancySpace::new(n, t).unwrap();
+            let sp = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
             let stride = sp.stride();
             let n32 = n as u32;
             let mut bad: Vec<Vec<u32>> = Vec::new();
@@ -1394,7 +1336,7 @@ mod tests {
     #[test]
     fn space_matches_dense_blockspace_in_order() {
         for &(n, t) in &[(2usize, 1u32), (3, 2), (4, 3), (6, 2), (5, 1)] {
-            let occ = OccupancySpace::new(n, t).unwrap();
+            let occ = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
             let (boundary, blocks) = dense_space(n, t, 1);
             assert_eq!(occ.boundary_len(), boundary.len(), "N={n} T={t}");
             assert_eq!(occ.block_len(), blocks[0].len(), "N={n} T={t}");
@@ -1409,7 +1351,7 @@ mod tests {
 
     #[test]
     fn locate_agrees_with_dense() {
-        let occ = OccupancySpace::new(4, 2).unwrap();
+        let occ = OccupancySpace::new(4, 2, &Budget::unlimited()).unwrap();
         let (boundary, blocks) = dense_space(4, 2, 3);
         for (i, s) in boundary.iter().enumerate() {
             let o = state_to_occupancy(s, 2).unwrap();
@@ -1452,7 +1394,7 @@ mod tests {
     fn block_size_matches_paper_formula() {
         // Paper: block size C(N+T−1, T).
         for &(n, t) in &[(3usize, 2u32), (3, 3), (6, 3), (4, 2), (5, 1), (12, 3)] {
-            let space = OccupancySpace::new(n, t).unwrap();
+            let space = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
             let expect = binomial(n - 1 + t as usize, t as usize) as usize;
             assert_eq!(space.block_len(), expect, "N={n}, T={t}");
         }
@@ -1461,7 +1403,7 @@ mod tests {
     #[test]
     fn boundary_contains_every_idle_state() {
         let (n, t) = (3usize, 2u32);
-        let space = OccupancySpace::new(n, t).unwrap();
+        let space = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
         for i in 0..space.boundary_len() {
             let s = occupancy_to_state(space.boundary_state(i));
             assert!(u64::from(s.total()) <= space.boundary_cap());
@@ -1488,7 +1430,7 @@ mod tests {
     #[test]
     fn block0_states_have_all_servers_busy() {
         for &(n, t) in &[(3usize, 2u32), (4, 3), (6, 2)] {
-            let space = OccupancySpace::new(n, t).unwrap();
+            let space = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
             let cap = space.boundary_cap();
             for i in 0..space.block_len() {
                 let s = occupancy_to_state(space.block0_state(i));
@@ -1501,7 +1443,7 @@ mod tests {
 
     #[test]
     fn shapes_are_unique_per_block() {
-        let space = OccupancySpace::new(4, 2).unwrap();
+        let space = OccupancySpace::new(4, 2, &Budget::unlimited()).unwrap();
         let mut shapes: Vec<&[u32]> = (0..space.block_len())
             .map(|i| &space.block0_state(i)[1..])
             .collect();
@@ -1512,7 +1454,7 @@ mod tests {
 
     #[test]
     fn locate_roundtrips() {
-        let space = OccupancySpace::new(4, 2).unwrap();
+        let space = OccupancySpace::new(4, 2, &Budget::unlimited()).unwrap();
         for i in 0..space.boundary_len() {
             let occ = space.boundary_state(i);
             assert_eq!(space.locate(occ), Some(OccLocation::Boundary(i)));
@@ -1538,7 +1480,7 @@ mod tests {
 
     #[test]
     fn locate_rejects_outside_threshold() {
-        let space = OccupancySpace::new(3, 2).unwrap();
+        let space = OccupancySpace::new(3, 2, &Budget::unlimited()).unwrap();
         let bad = tuple(&[5, 1, 1]); // diff 4 > 2
         assert_eq!(state_to_occupancy(&bad, 2), None);
         let wide = state_to_occupancy(&bad, 4).unwrap();
@@ -1551,7 +1493,7 @@ mod tests {
     fn level_shift_preserves_index_order() {
         // The base ↦ base + 1 bijection must keep the canonical order, so
         // block q + 1 is block q re-based index for index.
-        let space = OccupancySpace::new(4, 3).unwrap();
+        let space = OccupancySpace::new(4, 3, &Budget::unlimited()).unwrap();
         let shifted: Vec<Vec<u32>> = (0..space.block_len())
             .map(|i| {
                 let mut occ = space.block0_state(i).to_vec();
@@ -1566,15 +1508,15 @@ mod tests {
 
     #[test]
     fn invalid_parameters_rejected() {
-        assert!(OccupancySpace::new(1, 2).is_err());
-        assert!(OccupancySpace::new(3, 0).is_err());
+        assert!(OccupancySpace::new(1, 2, &Budget::unlimited()).is_err());
+        assert!(OccupancySpace::new(3, 0, &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn n3_t2_explicit_block_contents() {
         // Hand-enumerated B0 for N=3, T=2 (totals in (4, 7]), in the
         // canonical (total, lexicographic) order.
-        let space = OccupancySpace::new(3, 2).unwrap();
+        let space = OccupancySpace::new(3, 2, &Budget::unlimited()).unwrap();
         let expect: [&[u32]; 6] = [
             &[2, 2, 1],
             &[3, 1, 1],
@@ -1592,7 +1534,7 @@ mod tests {
     #[test]
     fn boundary_count_small_case() {
         // N=2, T=1: boundary = (0,0), (1,0); block 0 = (1,1), (2,1).
-        let space = OccupancySpace::new(2, 1).unwrap();
+        let space = OccupancySpace::new(2, 1, &Budget::unlimited()).unwrap();
         assert_eq!(space.boundary_len(), 2);
         assert_eq!(space.block_len(), 2);
         assert_eq!(occupancy_to_state(space.block0_state(0)), tuple(&[1, 1]));
@@ -1643,51 +1585,6 @@ mod tests {
                 Err(e) => panic!("unexpected dense failure: {e}"),
             }
         }
-    }
-
-    #[test]
-    fn decay_rate_matches_dense() {
-        for &(n, d, lam, t) in &[
-            (3usize, 2usize, 0.7f64, 2u32),
-            (4, 2, 0.85, 2),
-            (6, 2, 0.6, 1),
-        ] {
-            let sqd = Sqd::new(n, d, lam).unwrap();
-            for kind in [BoundKind::Lower, BoundKind::Upper] {
-                let blocks = BoundModel::new(sqd, kind, t).unwrap().qbd_blocks().unwrap();
-                if !blocks.is_stable().unwrap() {
-                    continue;
-                }
-                let dense = slb_qbd::decay_rate(&blocks, 1e-13, 10_000).unwrap();
-                let sparse = sqd.decay_rate_lumped(kind, t).unwrap();
-                assert!(
-                    (dense - sparse).abs() <= 1e-6 * dense.max(1e-12),
-                    "N={n} {kind:?}: dense sp(R) {dense} vs sparse {sparse}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn decay_rate_brackets_near_the_stability_boundary() {
-        // The upper model at N = 16, T = 3, ρ = 0.7 has a drift margin of
-        // 0.029: at z = 1 − 1e-9 its Perron root (−3e-11) is below what
-        // power iteration resolves, which used to fail the bracket.
-        let sqd = Sqd::new(16, 2, 0.7).unwrap();
-        let blocks = BoundModel::new(sqd, BoundKind::Upper, 3)
-            .unwrap()
-            .qbd_blocks()
-            .unwrap();
-        let dense = slb_qbd::decay_rate(&blocks, 1e-13, 10_000).unwrap();
-        assert!(
-            (dense - 0.575_351_440_6).abs() < 1e-9,
-            "dense sp(R) {dense}"
-        );
-        let sparse = sqd.decay_rate_lumped(BoundKind::Upper, 3).unwrap();
-        assert!(
-            (sparse - dense).abs() <= 1e-6 * dense,
-            "sparse sp(R) {sparse} vs dense {dense}"
-        );
     }
 
     #[test]
@@ -1754,13 +1651,21 @@ mod tests {
     #[test]
     fn closed_tail_decay_is_the_decay_rate() {
         // The cut-balance ratio of the accepted top level against the
-        // Perron-root bisection, where the tails carry mass.
+        // dense `sp(R)` of the same model, where the tails carry mass.
         for (n, t, rho) in [(8, 4, 0.9), (10, 3, 0.75), (16, 3, 0.7)] {
-            let blocks = upper_blocks(n, t, rho);
-            let sol = blocks
+            let sol = upper_blocks(n, t, rho)
                 .solve_decay_tail(&SparseSolveOptions::default())
                 .unwrap();
-            let eta = decay_rate_sparse(&blocks, 1e-12).unwrap();
+            let dense = BoundModel::new(Sqd::new(n, 2, rho).unwrap(), BoundKind::Upper, t)
+                .unwrap()
+                .qbd_blocks()
+                .unwrap();
+            let eta = slb_qbd::decay_rate(&dense, 1e-13, 10_000).unwrap();
+            if (n, t) == (16, 3) {
+                // A drift margin of 0.029: the point the old sp(R)
+                // bisection failed to bracket.
+                assert!((eta - 0.575_351_440_6).abs() < 1e-9, "dense sp(R) {eta}");
+            }
             assert!(
                 (sol.decay() - eta).abs() <= 1e-6 * eta,
                 "N={n} T={t} ρ={rho}: closed decay {} vs sp(R) {eta}",
@@ -1834,7 +1739,7 @@ mod tests {
     #[test]
     fn production_n_space_enumerates() {
         // The N = 256 block from the issue: C(257, 2) = 32,896 phases.
-        let space = OccupancySpace::new(256, 2).unwrap();
+        let space = OccupancySpace::new(256, 2, &Budget::unlimited()).unwrap();
         assert_eq!(space.block_len(), 32_896);
         assert!(space.boundary_len() > space.block_len());
         // Spot-check canonical invariants on a few records.

@@ -178,7 +178,7 @@ mod tests {
     /// The boundary and the first `levels` repeating blocks of `(N, T)`,
     /// expanded to sorted tuples.
     fn states(n: usize, t: u32, levels: u32) -> Vec<State> {
-        let space = OccupancySpace::new(n, t).unwrap();
+        let space = OccupancySpace::new(n, t, &slb_linalg::Budget::unlimited()).unwrap();
         let mut out: Vec<State> = (0..space.boundary_len())
             .map(|i| occupancy_to_state(space.boundary_state(i)))
             .collect();

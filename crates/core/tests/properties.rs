@@ -11,7 +11,7 @@ use slb_core::{
     transitions, transitions_with_mode, BoundKind, BoundModel, CoreError, LumpedModel,
     ModelVariant, OccupancySpace, PollMode, Sqd, State,
 };
-use slb_linalg::Matrix;
+use slb_linalg::{Budget, Matrix};
 
 /// Random sorted state with bounded entries.
 fn arb_state(n: usize, max: u32) -> impl Strategy<Value = State> {
@@ -154,7 +154,7 @@ proptest! {
         nt in (3usize..6).prop_flat_map(|n| (Just(n), 1u32..4)),
     ) {
         let (n, t) = nt;
-        let space = OccupancySpace::new(n, t).unwrap();
+        let space = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
         let cap = space.boundary_cap();
         // Every boundary state has total ≤ cap; every block-q state
         // (template shifted up q levels) has its total in block q's range
@@ -213,7 +213,7 @@ proptest! {
             BoundKind::Lower => ModelVariant::Lower { threshold: t },
             BoundKind::Upper => ModelVariant::Upper { threshold: t },
         };
-        let space = OccupancySpace::new(n, t).unwrap();
+        let space = OccupancySpace::new(n, t, &Budget::unlimited()).unwrap();
         let one_up = |i| {
             let mut occ = space.block0_state(i).to_vec();
             occ[0] += 1;
@@ -416,9 +416,9 @@ proptest! {
             "N={} d={} λ={} T={}: lumped {} vs dense {}",
             n, d, lambda, t, lumped.delay, dense.delay
         );
-        // The stationary tail decays at sp(R) = ρᴺ (Theorem 3) on both
-        // state spaces.
-        let eta = sqd.decay_rate_lumped(BoundKind::Lower, t).unwrap();
+        // The stationary tail decays at sp(R) = ρᴺ (Theorem 3).
+        let blocks = BoundModel::new(sqd, BoundKind::Lower, t).unwrap().qbd_blocks().unwrap();
+        let eta = slb_qbd::decay_rate(&blocks, 1e-13, 10_000).unwrap();
         prop_assert!(
             (eta - lambda.powi(n as i32)).abs() < 1e-6,
             "N={} λ={}: decay {} vs ρᴺ {}", n, lambda, eta, lambda.powi(n as i32)

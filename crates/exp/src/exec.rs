@@ -23,7 +23,7 @@ use std::time::Duration;
 use crate::cache;
 use crate::check::check_sandwich;
 use crate::manifest::RunManifest;
-use crate::runner::{run_job_pooled_budgeted, Row};
+use crate::runner::{run_job, Row};
 use crate::spec::{Job, ScenarioSpec};
 use crate::store::CacheStore;
 use slb_linalg::{Budget, CancelToken};
@@ -216,11 +216,9 @@ pub fn run_sweep_on(
             } else {
                 match &store {
                     Some(store) => store
-                        .get_or_compute(&job.canonical_key(), || {
-                            run_job_pooled_budgeted(job, &budget)
-                        })
+                        .get_or_compute(&job.canonical_key(), || run_job(job, &budget))
                         .map(|(rows, source)| (rows.as_ref().clone(), source.is_hit())),
-                    None => run_job_pooled_budgeted(job, &budget).map(|rows| (rows, false)),
+                    None => run_job(job, &budget).map(|rows| (rows, false)),
                 }
             };
             if outcome.is_ok() {

@@ -69,9 +69,7 @@ pub use exec::{run_sweep, run_sweep_on, SweepOptions, SweepReport};
 pub use json::Json;
 pub use manifest::{manifest_path, RunManifest};
 pub use query::{answer, answer_with_budget, Answer, CapacityAnswer, Metric, Query, SimBudget};
-pub use runner::{
-    run_job, run_job_budgeted, run_job_pooled, run_job_pooled_budgeted, Family, Row, Scratch,
-};
+pub use runner::{run_job, Family, Row};
 pub use slb_linalg::{Budget, CancelToken};
 pub use slb_pool::WorkPool;
 pub use spec::{Job, ScenarioSpec};

@@ -31,7 +31,7 @@
 
 use crate::check::check_sandwich;
 use crate::json::Json;
-use crate::runner::{run_job_pooled_budgeted, Family, Row};
+use crate::runner::{run_job, Family, Row};
 use crate::spec::Job;
 use crate::store::{CacheStore, Source};
 use crate::value::Value;
@@ -407,9 +407,7 @@ fn eval(
     hits: &mut usize,
     computed: &mut usize,
 ) -> Result<std::sync::Arc<Vec<Row>>, String> {
-    let (rows, source) = store.get_or_compute(&job.canonical_key(), || {
-        run_job_pooled_budgeted(job, budget)
-    })?;
+    let (rows, source) = store.get_or_compute(&job.canonical_key(), || run_job(job, budget))?;
     if source.is_hit() {
         *hits += 1;
     } else {

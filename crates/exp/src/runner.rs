@@ -16,7 +16,8 @@ use slb_linalg::{power_iteration, Budget, Workspace};
 use slb_mapph::MapSqd;
 use slb_markov::{Map, PhaseType};
 use slb_qbd::{
-    functional_iteration, logarithmic_reduction_in_budgeted, SolveOptions, SparseSolveOptions, Tail,
+    functional_iteration, logarithmic_reduction_in, GComputation, QbdError, SparseSolveOptions,
+    Tail,
 };
 use slb_sim::{Policy, SimConfig, SimResult};
 
@@ -207,35 +208,32 @@ impl fmt::Display for Family {
     }
 }
 
-/// Per-worker scratch: one [`Workspace`] per QBD block shape, reused
-/// across every job a worker thread executes. A utilization sweep at
-/// fixed `(N, T)` revisits the same shape at every grid point, so after
-/// the first job of a shape the dense solvers draw all their
-/// temporaries from a warm pool.
+/// Per-thread scratch: one [`Workspace`] per QBD block shape, reused
+/// across every job a thread executes. A utilization sweep at fixed
+/// `(N, T)` revisits the same shape at every grid point, so after the
+/// first job of a shape the dense solvers draw all their temporaries
+/// from a warm pool.
 #[derive(Debug, Default)]
-pub struct Scratch {
+struct Scratch {
     pools: Vec<(usize, Workspace)>,
 }
 
 impl Scratch {
-    /// A scratch holder with no warmed pools.
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-
     /// The workspace pool for `m × m` blocks, created on first use.
-    pub fn square(&mut self, m: usize) -> &mut Workspace {
+    fn square(&mut self, m: usize) -> &mut Workspace {
         if let Some(i) = self.pools.iter().position(|(s, _)| *s == m) {
             return &mut self.pools[i].1;
         }
         self.pools.push((m, Workspace::square(m)));
         &mut self.pools.last_mut().expect("just pushed").1
     }
+}
 
-    /// Number of distinct shapes warmed so far.
-    pub fn shapes(&self) -> usize {
-        self.pools.len()
-    }
+thread_local! {
+    /// The calling thread's [`Scratch`]: long-lived pool workers (sweep
+    /// executor, `slb serve` handlers) keep their dense workspaces warm
+    /// across every job they ever run, not just one batch.
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
 
 /// Formats a float with 4 decimal places (the shared table precision).
@@ -243,71 +241,30 @@ fn f4(x: f64) -> String {
     format!("{x:.4}")
 }
 
-/// Runs one job, returning its rows in deterministic order.
+/// Runs one job under a cooperative [`Budget`], returning its rows in
+/// deterministic order. Every iterative solve and the simulator poll
+/// the budget and abandon the job with an `interrupted: ...` error when
+/// it trips; interrupted jobs are never cached ([`crate::CacheStore`]
+/// only publishes `Ok` results), so a later uninterrupted run recomputes
+/// them cleanly. Dense scratch comes from the calling thread's pool.
 ///
 /// # Errors
 ///
-/// Returns a message naming the family and the failing stage; infeasible
-/// points that the old binaries silently skipped (e.g. `d > N` in the
-/// Figure-9 grid) yield an empty row list instead of an error.
-pub fn run_job(job: &Job, scratch: &mut Scratch) -> Result<Vec<Row>, String> {
-    run_job_budgeted(job, scratch, &Budget::unlimited())
-}
-
-/// [`run_job`] under a cooperative [`Budget`]: every iterative solve
-/// and the simulator poll the budget and abandon the job with an
-/// `interrupted: ...` error when it trips. Interrupted jobs are never
-/// cached ([`crate::CacheStore`] only publishes `Ok` results), so a
-/// later uninterrupted run recomputes them cleanly.
-///
-/// # Errors
-///
-/// As [`run_job`], plus `interrupted: ...` messages on budget trips.
-pub fn run_job_budgeted(
-    job: &Job,
-    scratch: &mut Scratch,
-    budget: &Budget,
-) -> Result<Vec<Row>, String> {
+/// Returns a message naming the family and the failing stage, or an
+/// `interrupted: ...` message on a budget trip; infeasible points that
+/// the old binaries silently skipped (e.g. `d > N` in the Figure-9 grid)
+/// yield an empty row list instead of an error.
+pub fn run_job(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     match job.family {
         Family::Bounds => run_bounds(job, budget),
         Family::AsymptoticError => run_asymptotic_error(job, budget),
         Family::DelayTails => run_delay_tails(job, budget),
         Family::Burstiness => run_burstiness(job, budget),
-        Family::LogredIters => run_logred_iters(job, scratch, budget),
+        Family::LogredIters => run_logred_iters(job, budget),
         Family::Theorem3 => run_theorem3(job),
         Family::Scaling => run_scaling(job, budget),
         Family::Service => run_service(job, budget),
     }
-}
-
-thread_local! {
-    /// Per-thread scratch for [`run_job_pooled`]: long-lived pool
-    /// workers (sweep executor, `slb serve` handlers) keep their dense
-    /// workspaces warm across every job they ever run, not just one
-    /// batch.
-    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::new());
-}
-
-/// Runs one job on the calling thread's persistent [`Scratch`] pool —
-/// the entry point for pool workers and server request handlers, where
-/// no caller-owned scratch outlives the closure.
-///
-/// # Errors
-///
-/// Exactly as [`run_job`].
-pub fn run_job_pooled(job: &Job) -> Result<Vec<Row>, String> {
-    SCRATCH.with(|s| run_job(job, &mut s.borrow_mut()))
-}
-
-/// [`run_job_pooled`] under a cooperative [`Budget`] — what the sweep
-/// executor and `slb serve` handlers call so a deadline or a ctrl-C
-/// interrupts the solve mid-iteration instead of after it.
-///
-/// # Errors
-///
-/// Exactly as [`run_job_budgeted`].
-pub fn run_job_pooled_budgeted(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
-    SCRATCH.with(|s| run_job_budgeted(job, &mut s.borrow_mut(), budget))
 }
 
 /// Splits a total job budget across replications, floored so degenerate
@@ -490,9 +447,13 @@ fn run_burstiness(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     ]])
 }
 
+/// Iteration cap of the `logred-iters` functional iteration; a point
+/// that needs more prints `>2000000`.
+const FUNCTIONAL_CAP: usize = 2_000_000;
+
 /// `logred-iters`: the §IV-A "within k = 6" claim, against functional
-/// iteration, drawing dense scratch from the worker's shared pool.
-fn run_logred_iters(job: &Job, scratch: &mut Scratch, budget: &Budget) -> Result<Vec<Row>, String> {
+/// iteration, drawing dense scratch from the thread's shared pool.
+fn run_logred_iters(job: &Job, budget: &Budget) -> Result<Vec<Row>, String> {
     let n = job.usize("n")?;
     let d = job.usize("d")?;
     let t = job.u32("t")?;
@@ -502,19 +463,20 @@ fn run_logred_iters(job: &Job, scratch: &mut Scratch, budget: &Budget) -> Result
         "upper" => BoundKind::Upper,
         other => return Err(format!("unknown bound kind '{other}'")),
     };
-    let functional_budget = 2_000_000;
 
     let sqd = Sqd::new(n, d, rho).map_err(|e| format!("model: {e}"))?;
     let model = BoundModel::new(sqd, kind, t).map_err(|e| format!("bound model: {e}"))?;
     let blocks = model.qbd_blocks().map_err(|e| format!("assembly: {e}"))?;
     // The G equation has a solution regardless of positive recurrence;
     // report iterations even for unstable UB cases.
-    let ws = scratch.square(blocks.level_len());
-    let lr = logarithmic_reduction_in_budgeted(&blocks, 1e-13, 64, ws, budget)
+    let lr = SCRATCH
+        .with(|s| {
+            let mut scratch = s.borrow_mut();
+            let ws = scratch.square(blocks.level_len());
+            logarithmic_reduction_in(&blocks, 1e-13, 64, ws, budget)
+        })
         .map_err(|e| format!("logred: {e}"))?;
-    let fi = functional_iteration(&blocks, 1e-12, functional_budget)
-        .map(|g| g.iterations.to_string())
-        .unwrap_or_else(|_| format!(">{functional_budget}"));
+    let fi = functional_cell(functional_iteration(&blocks, 1e-12, FUNCTIONAL_CAP, budget))?;
 
     Ok(vec![vec![
         n.to_string(),
@@ -526,6 +488,17 @@ fn run_logred_iters(job: &Job, scratch: &mut Scratch, budget: &Budget) -> Result
         format!("{:.3e}", lr.residual),
         fi,
     ]])
+}
+
+/// The `functional_iters` cell: the iteration count, or `>2000000` when
+/// the cap ran out. Any other failure, an interruption included, fails
+/// the job.
+fn functional_cell(g: Result<GComputation, QbdError>) -> Result<String, String> {
+    match g {
+        Ok(g) => Ok(g.iterations.to_string()),
+        Err(QbdError::NoConvergence { .. }) => Ok(format!(">{FUNCTIONAL_CAP}")),
+        Err(e) => Err(format!("functional iteration: {}", CoreError::from(e))),
+    }
 }
 
 /// `theorem3`: scalar-tail diagnostics for the lower-bound model.
@@ -540,7 +513,7 @@ fn run_theorem3(job: &Job) -> Result<Vec<Row>, String> {
         BoundModel::new(sqd, BoundKind::Lower, t).map_err(|e| format!("bound model: {e}"))?;
     let blocks = model.qbd_blocks().map_err(|e| format!("assembly: {e}"))?;
     let sol = blocks
-        .solve(&SolveOptions::default())
+        .solve()
         .map_err(|e| format!("stationary solve: {e}"))?;
 
     let rho_n = rho.powi(n as i32);
@@ -641,7 +614,6 @@ fn lumped_sandwich(
 ) -> Result<(String, String), String> {
     let opts = SparseSolveOptions {
         budget: budget.clone(),
-        ..SparseSolveOptions::default()
     };
     let model = LumpedModel::new_budgeted(*sqd, BoundKind::Lower, t, budget)
         .map_err(|e| format!("lumped lower bound: {e}"))?;
@@ -780,7 +752,7 @@ mod tests {
                 ("seed", Value::Int(7)),
             ],
         );
-        let rows = run_job(&j, &mut Scratch::new()).unwrap();
+        let rows = run_job(&j, &Budget::unlimited()).unwrap();
         assert_eq!(rows.len(), 1);
         let cols = Family::Service.columns();
         assert_eq!(rows[0].len(), cols.len());
@@ -792,8 +764,8 @@ mod tests {
         assert!(cell("p50") <= cell("p90") && cell("p90") <= cell("p99"));
         assert!(cell("lower") <= cell("sim") + 0.1);
         assert!(cell("sim") <= cell("upper") + 0.1);
-        // Pooled entry point produces identical rows (shared scratch).
-        assert_eq!(run_job_pooled(&j).unwrap(), rows);
+        // A second run on the now-warm thread scratch is identical.
+        assert_eq!(run_job(&j, &Budget::unlimited()).unwrap(), rows);
         // Infeasible d > n skips, like scaling.
         let j = job(
             Family::Service,
@@ -807,7 +779,10 @@ mod tests {
                 ("seed", Value::Int(1)),
             ],
         );
-        assert_eq!(run_job(&j, &mut Scratch::new()).unwrap(), Vec::<Row>::new());
+        assert_eq!(
+            run_job(&j, &Budget::unlimited()).unwrap(),
+            Vec::<Row>::new()
+        );
     }
 
     #[test]
@@ -832,7 +807,7 @@ mod tests {
                     ("seed", Value::Int(5)),
                 ],
             );
-            let rows = run_job(&j, &mut Scratch::new()).unwrap();
+            let rows = run_job(&j, &Budget::unlimited()).unwrap();
             assert_eq!(rows.len(), 1);
             assert_eq!(rows[0].len(), cols.len());
             let (lower, sim, upper) = (
@@ -864,7 +839,7 @@ mod tests {
                 ("seed", Value::Int(5)),
             ],
         );
-        let rows = run_job(&j, &mut Scratch::new()).unwrap();
+        let rows = run_job(&j, &Budget::unlimited()).unwrap();
         let upper_i = cols.iter().position(|c| *c == "upper").unwrap();
         assert_eq!(rows[0][upper_i], "unstable", "{rows:?}");
         assert!(cell(&rows[0], "lower") <= cell(&rows[0], "sim") + 0.1);
@@ -882,7 +857,7 @@ mod tests {
                 ("seed", Value::Int(1)),
             ],
         );
-        assert!(run_job(&j, &mut Scratch::new())
+        assert!(run_job(&j, &Budget::unlimited())
             .unwrap_err()
             .contains("unknown policy"));
         // d > n under sqd is infeasible: skipped, like asymptotic-error.
@@ -899,7 +874,10 @@ mod tests {
                 ("seed", Value::Int(1)),
             ],
         );
-        assert_eq!(run_job(&j, &mut Scratch::new()).unwrap(), Vec::<Row>::new());
+        assert_eq!(
+            run_job(&j, &Budget::unlimited()).unwrap(),
+            Vec::<Row>::new()
+        );
     }
 
     #[test]
@@ -916,7 +894,7 @@ mod tests {
                 ("seed", Value::Int(1)),
             ],
         );
-        let rows = run_job(&j, &mut Scratch::new()).unwrap();
+        let rows = run_job(&j, &Budget::unlimited()).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].len(), Family::Bounds.columns().len());
         let lower: f64 = rows[0][4].parse().unwrap();
@@ -935,12 +913,15 @@ mod tests {
                 ("rho", Value::Float(0.75)),
             ],
         );
-        assert_eq!(run_job(&j, &mut Scratch::new()).unwrap(), Vec::<Row>::new());
+        assert_eq!(
+            run_job(&j, &Budget::unlimited()).unwrap(),
+            Vec::<Row>::new()
+        );
     }
 
     #[test]
     fn logred_iters_uses_shared_scratch() {
-        let mut scratch = Scratch::new();
+        let shapes = || SCRATCH.with(|s| s.borrow().pools.len());
         let j = job(
             Family::LogredIters,
             &[
@@ -951,19 +932,82 @@ mod tests {
                 ("kind", Value::Str("lower".into())),
             ],
         );
-        let first = run_job(&j, &mut scratch).unwrap();
-        assert_eq!(scratch.shapes(), 1);
-        // Re-running on the warm pool is deterministic.
-        assert_eq!(run_job(&j, &mut scratch).unwrap(), first);
-        assert_eq!(scratch.shapes(), 1);
+        let first = run_job(&j, &Budget::unlimited()).unwrap();
+        let warmed = shapes();
+        assert!(warmed >= 1);
+        // Re-running on the warm pool is deterministic and adds no shape.
+        assert_eq!(run_job(&j, &Budget::unlimited()).unwrap(), first);
+        assert_eq!(shapes(), warmed);
         let iters: usize = first[0][5].parse().unwrap();
         assert!(iters <= 8, "logred should converge within ~6: {first:?}");
     }
 
     #[test]
+    fn functional_iteration_cap_is_a_cell_but_an_interruption_fails_the_job() {
+        let sqd = Sqd::new(3, 2, 0.9).unwrap();
+        let blocks = BoundModel::new(sqd, BoundKind::Lower, 2)
+            .unwrap()
+            .qbd_blocks()
+            .unwrap();
+        let capped = functional_iteration(&blocks, 1e-12, 3, &Budget::unlimited());
+        assert!(matches!(capped, Err(QbdError::NoConvergence { .. })));
+        assert_eq!(
+            functional_cell(capped).unwrap(),
+            format!(">{FUNCTIONAL_CAP}")
+        );
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        let interrupted = functional_iteration(&blocks, 1e-12, FUNCTIONAL_CAP, &expired);
+        assert!(matches!(interrupted, Err(QbdError::Interrupted { .. })));
+        let err = functional_cell(interrupted).unwrap_err();
+        assert!(err.contains("interrupted:"), "{err}");
+    }
+
+    #[test]
+    fn an_expired_budget_interrupts_every_budgeted_family() {
+        // `theorem3` is left out: its dense solves take no budget.
+        let sim = [
+            ("jobs", Value::Int(20_000)),
+            ("replications", Value::Int(1)),
+            ("seed", Value::Int(3)),
+        ];
+        let point = [
+            ("n", Value::Int(3)),
+            ("d", Value::Int(2)),
+            ("t", Value::Int(2)),
+            ("rho", Value::Float(0.6)),
+        ];
+        let cases: [(Family, &[(&str, Value)]); 7] = [
+            (Family::Bounds, &[]),
+            (Family::AsymptoticError, &[]),
+            (
+                Family::DelayTails,
+                &[
+                    ("percentiles", Value::List(vec![Value::Float(0.9)])),
+                    ("cap", Value::Int(12)),
+                ],
+            ),
+            (
+                Family::Burstiness,
+                &[("arrival", Value::Str("mmpp-mild".into()))],
+            ),
+            (Family::LogredIters, &[("kind", Value::Str("upper".into()))]),
+            (Family::Scaling, &[("policy", Value::Str("sqd".into()))]),
+            (Family::Service, &[("policy", Value::Str("sqd".into()))]),
+        ];
+        let expired = Budget::with_deadline(std::time::Duration::ZERO);
+        for (family, extra) in cases {
+            let mut params: Vec<(&str, Value)> = point.to_vec();
+            params.extend(sim.iter().cloned());
+            params.extend(extra.iter().cloned());
+            let err = run_job(&job(family, &params), &expired).unwrap_err();
+            assert!(err.contains("interrupted"), "{family}: {err}");
+        }
+    }
+
+    #[test]
     fn runner_errors_name_the_stage() {
         let j = job(Family::Bounds, &[("n", Value::Int(3))]);
-        let err = run_job(&j, &mut Scratch::new()).unwrap_err();
+        let err = run_job(&j, &Budget::unlimited()).unwrap_err();
         assert!(err.contains("missing parameter"), "{err}");
         let j = job(
             Family::Burstiness,
@@ -975,7 +1019,7 @@ mod tests {
                 ("arrival", Value::Str("weird".into())),
             ],
         );
-        assert!(run_job(&j, &mut Scratch::new())
+        assert!(run_job(&j, &Budget::unlimited())
             .unwrap_err()
             .contains("unknown arrival case"));
     }

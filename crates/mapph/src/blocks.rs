@@ -202,7 +202,7 @@ mod tests {
     use super::*;
 
     fn space(n: usize, t: u32) -> OccupancySpace {
-        OccupancySpace::new(n, t).unwrap()
+        OccupancySpace::new(n, t, &slb_linalg::Budget::unlimited()).unwrap()
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use slb_linalg::Matrix;
 use slb_markov::{Map, PhaseType};
-use slb_qbd::{QbdBlocks, SolveOptions};
+use slb_qbd::QbdBlocks;
 
 use crate::{MapphError, Result};
 
@@ -118,7 +118,7 @@ impl MapPh1 {
     /// cannot occur because stability was checked at construction).
     pub fn mean_jobs(&self) -> Result<f64> {
         let blocks = self.blocks()?;
-        let sol = blocks.solve(&SolveOptions::default())?;
+        let sol = blocks.solve()?;
         let p = self.map.phases();
         let m = p * self.service.phases();
         // Boundary (0 jobs) costs 0; level q holds q+1 jobs.
@@ -141,7 +141,7 @@ impl MapPh1 {
     /// As [`MapPh1::mean_jobs`].
     pub fn idle_distribution(&self) -> Result<Vec<f64>> {
         let blocks = self.blocks()?;
-        let sol = blocks.solve(&SolveOptions::default())?;
+        let sol = blocks.solve()?;
         Ok(sol.boundary().to_vec())
     }
 }

@@ -3,9 +3,9 @@
 
 use slb_core::occupancy::occupancy_to_state;
 use slb_core::{BoundKind, ModelVariant, OccupancySpace, PollMode};
-use slb_linalg::{power_iteration, CsrMatrix};
+use slb_linalg::{power_iteration, Budget, CsrMatrix};
 use slb_markov::Map;
-use slb_qbd::{QbdBlocks, SolveOptions, Tail};
+use slb_qbd::{QbdBlocks, Tail};
 
 use crate::{blocks, MapphError, Result};
 
@@ -188,7 +188,7 @@ impl MapSqd {
     ///
     /// Propagates state-space construction and validation failures.
     pub fn qbd_blocks(&self, kind: BoundKind, t: u32) -> Result<QbdBlocks> {
-        let space = OccupancySpace::new(self.n, t)?;
+        let space = OccupancySpace::new(self.n, t, &Budget::unlimited())?;
         blocks::assemble(&space, &self.map, self.d, kind, self.poll_mode)
     }
 
@@ -212,9 +212,9 @@ impl MapSqd {
     ) -> Result<slb_core::DelayDistribution> {
         use slb_core::delay_dist::arrival_level_weights;
 
-        let space = OccupancySpace::new(self.n, t)?;
+        let space = OccupancySpace::new(self.n, t, &Budget::unlimited())?;
         let qbd = blocks::assemble(&space, &self.map, self.d, kind, self.poll_mode)?;
-        let sol = qbd.solve(&SolveOptions::default())?;
+        let sol = qbd.solve()?;
 
         let p = self.map.phases();
         let d1_row: Vec<f64> = (0..p)
@@ -282,7 +282,7 @@ impl MapSqd {
     /// Panics unless `0 < tol < 1`.
     pub fn upper_bound_saturation(&self, t: u32, tol: f64) -> Result<f64> {
         assert!(tol > 0.0 && tol < 1.0, "tolerance must be in (0, 1)");
-        let space = OccupancySpace::new(self.n, t)?;
+        let space = OccupancySpace::new(self.n, t, &Budget::unlimited())?;
         let stable_at = |rho: f64| -> Result<bool> {
             let map = self.map.with_rate(rho * self.n as f64)?;
             let qbd = blocks::assemble(&space, &map, self.d, BoundKind::Upper, self.poll_mode)?;
@@ -304,9 +304,9 @@ impl MapSqd {
     }
 
     fn solve(&self, kind: BoundKind, t: u32) -> Result<MapBoundResult> {
-        let space = OccupancySpace::new(self.n, t)?;
+        let space = OccupancySpace::new(self.n, t, &Budget::unlimited())?;
         let qbd = blocks::assemble(&space, &self.map, self.d, kind, self.poll_mode)?;
-        let sol = qbd.solve(&SolveOptions::default())?;
+        let sol = qbd.solve()?;
 
         // Waiting jobs are phase-blind: each macro-state's cost repeats
         // over its `p` phases.

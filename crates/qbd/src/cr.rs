@@ -289,7 +289,8 @@ mod tests {
             let lr = logarithmic_reduction(&b, 1e-14, 64).unwrap();
             let cr = cyclic_reduction(&b, 1e-13, 64).unwrap();
             let ub = u_based_iteration(&b, 1e-13, 100_000).unwrap();
-            let fi = functional_iteration(&b, 1e-13, 500_000).unwrap();
+            let fi =
+                functional_iteration(&b, 1e-13, 500_000, &slb_linalg::Budget::unlimited()).unwrap();
             assert!(lr.g.approx_eq(&cr.g, 1e-9), "CR mismatch at ({l0}, {l1})");
             assert!(lr.g.approx_eq(&ub.g, 1e-8), "U-based mismatch");
             assert!(lr.g.approx_eq(&fi.g, 1e-8), "functional mismatch");
@@ -304,7 +305,8 @@ mod tests {
         let lr = logarithmic_reduction(&b, 1e-13, 64).unwrap();
         let cr = cyclic_reduction(&b, 1e-13, 64).unwrap();
         let ub = u_based_iteration(&b, 1e-13, 100_000).unwrap();
-        let fi = functional_iteration(&b, 1e-13, 500_000).unwrap();
+        let fi =
+            functional_iteration(&b, 1e-13, 500_000, &slb_linalg::Budget::unlimited()).unwrap();
         assert!(lr.iterations <= 12 && cr.iterations <= 12);
         assert!(
             ub.iterations < fi.iterations,

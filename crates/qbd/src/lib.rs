@@ -35,7 +35,7 @@
 //!
 //! ```
 //! use slb_linalg::Matrix;
-//! use slb_qbd::{QbdBlocks, SolveOptions};
+//! use slb_qbd::QbdBlocks;
 //!
 //! # fn main() -> Result<(), slb_qbd::QbdError> {
 //! let (lam, mu) = (0.6, 1.0);
@@ -47,7 +47,7 @@
 //!     Matrix::from_vec(1, 1, vec![-(lam + mu)]).unwrap(), // A1
 //!     Matrix::from_vec(1, 1, vec![mu]).unwrap(),          // A2
 //! )?;
-//! let sol = blocks.solve(&SolveOptions::default())?;
+//! let sol = blocks.solve()?;
 //! // Geometric queue: π_q = (1 − ρ) ρ^q for levels q ≥ 0 beyond boundary.
 //! let rho: f64 = lam / mu;
 //! assert!((sol.level_prob(0)[0] - (1.0 - rho) * rho).abs() < 1e-10);
@@ -70,12 +70,11 @@ pub use blocks::QbdBlocks;
 pub use cr::{cyclic_reduction, decay_rate, u_based_iteration};
 pub use error::QbdError;
 pub use logred::{
-    decay_rate_sparse, decay_rate_sparse_budgeted, functional_iteration,
-    functional_iteration_budgeted, logarithmic_reduction, logarithmic_reduction_in,
-    logarithmic_reduction_in_budgeted, rate_matrix, GComputation,
+    functional_iteration, logarithmic_reduction, logarithmic_reduction_in, rate_matrix,
+    GComputation,
 };
 pub use lumped::{SparseQbdBlocks, SparseSolveOptions, TruncatedStationary};
-pub use stationary::{QbdStationary, SolveOptions, Tail};
+pub use stationary::{QbdStationary, Tail};
 
 /// Convenience result alias for fallible QBD operations.
 pub type Result<T> = std::result::Result<T, QbdError>;

@@ -20,9 +20,8 @@
 //! The rate matrix follows as `R = −A0 (A1 + A0·G)⁻¹` and satisfies
 //! `A0 + R·A1 + R²·A2 = 0` ([`rate_matrix`]).
 
-use slb_linalg::{power_iteration, Budget, CooBuilder, Lu, Matrix, Workspace};
+use slb_linalg::{Budget, Lu, Matrix, Workspace};
 
-use crate::lumped::SparseQbdBlocks;
 use crate::{QbdBlocks, QbdError, Result};
 
 /// Result of a converged `G` computation.
@@ -102,11 +101,12 @@ pub fn logarithmic_reduction(
     max_iter: usize,
 ) -> Result<GComputation> {
     let mut ws = Workspace::square(blocks.level_len());
-    logarithmic_reduction_in(blocks, tol, max_iter, &mut ws)
+    logarithmic_reduction_in(blocks, tol, max_iter, &mut ws, &Budget::unlimited())
 }
 
 /// [`logarithmic_reduction`] drawing its scratch matrices from a
-/// caller-owned [`Workspace`] instead of a fresh pool.
+/// caller-owned [`Workspace`] instead of a fresh pool, under a
+/// cooperative [`Budget`] polled once per doubling iteration.
 ///
 /// Long-lived drivers that solve many same-shape QBDs — the sweep
 /// executor's worker threads in particular — keep one pool per block
@@ -114,31 +114,17 @@ pub fn logarithmic_reduction(
 /// first call on a given shape the setup phase allocates nothing but
 /// the returned `G`.
 ///
-/// # Errors
-///
-/// As [`logarithmic_reduction`], plus [`QbdError::InvalidBlocks`] when
-/// the workspace shape does not match the blocks' level length.
-pub fn logarithmic_reduction_in(
-    blocks: &QbdBlocks,
-    tol: f64,
-    max_iter: usize,
-    ws: &mut Workspace,
-) -> Result<GComputation> {
-    logarithmic_reduction_in_budgeted(blocks, tol, max_iter, ws, &Budget::unlimited())
-}
-
-/// [`logarithmic_reduction_in`] under a cooperative [`Budget`], polled
-/// once per doubling iteration.
-///
 /// An interruption returns every scratch matrix to the caller's pool —
-/// exactly like the existing failure paths — before surfacing
+/// exactly like the other failure paths — before surfacing
 /// [`QbdError::Interrupted`] with the doublings completed and the last
 /// additive update as the residual.
 ///
 /// # Errors
 ///
-/// As [`logarithmic_reduction_in`], plus [`QbdError::Interrupted`].
-pub fn logarithmic_reduction_in_budgeted(
+/// As [`logarithmic_reduction`], plus [`QbdError::InvalidBlocks`] when
+/// the workspace shape does not match the blocks' level length and
+/// [`QbdError::Interrupted`] when the budget trips.
+pub fn logarithmic_reduction_in(
     blocks: &QbdBlocks,
     tol: f64,
     max_iter: usize,
@@ -267,7 +253,10 @@ pub fn logarithmic_reduction_in_budgeted(
 }
 
 /// Computes `G` by natural functional iteration
-/// `G ← (−A1)⁻¹ (A2 + A0·G²)` starting from `G = 0`.
+/// `G ← (−A1)⁻¹ (A2 + A0·G²)` starting from `G = 0`, under a
+/// cooperative [`Budget`] polled once per fixed-point step (the linear
+/// convergence means hundreds of steps at high load, so the step is the
+/// natural batch).
 ///
 /// Converges monotonically (entrywise, from below) to the minimal
 /// nonnegative solution, but only linearly — hundreds of iterations at
@@ -278,19 +267,9 @@ pub fn logarithmic_reduction_in_budgeted(
 ///
 /// * [`QbdError::NoConvergence`] if `max_iter` is exhausted before the
 ///   successive-iterate change drops below `tol`.
+/// * [`QbdError::Interrupted`] when the budget trips.
 /// * [`QbdError::Linalg`] if `A1` is singular (invalid QBD).
-pub fn functional_iteration(blocks: &QbdBlocks, tol: f64, max_iter: usize) -> Result<GComputation> {
-    functional_iteration_budgeted(blocks, tol, max_iter, &Budget::unlimited())
-}
-
-/// [`functional_iteration`] under a cooperative [`Budget`], polled once
-/// per fixed-point step (the linear convergence means hundreds of steps
-/// at high load, so the step is the natural batch).
-///
-/// # Errors
-///
-/// As [`functional_iteration`], plus [`QbdError::Interrupted`].
-pub fn functional_iteration_budgeted(
+pub fn functional_iteration(
     blocks: &QbdBlocks,
     tol: f64,
     max_iter: usize,
@@ -375,264 +354,6 @@ pub fn rate_matrix(blocks: &QbdBlocks, g: &Matrix) -> Result<Matrix> {
     Ok(r)
 }
 
-/// Floor below which [`decay_rate_sparse`] reports the decay rate as
-/// effectively zero rather than resolving further orders of magnitude.
-const DECAY_FLOOR: f64 = 1e-14;
-
-/// Assembles `A(z) = A0 + z·A1 + z²·A2` (scaled by `sign`) in sparse
-/// form.
-fn quadratic_at(blocks: &SparseQbdBlocks, z: f64, sign: f64) -> Result<slb_linalg::CsrMatrix> {
-    let m = blocks.level_len();
-    let mut coo = CooBuilder::new(m, m);
-    for (blk, w) in [
-        (blocks.a0(), sign),
-        (blocks.a1(), sign * z),
-        (blocks.a2(), sign * z * z),
-    ] {
-        for r in 0..m {
-            for (c, v) in blk.row(r) {
-                coo.add(r, c, w * v).map_err(QbdError::Linalg)?;
-            }
-        }
-    }
-    Ok(coo.build())
-}
-
-/// Perron (largest real) eigenvalue of the essentially nonnegative
-/// `A(z) = A0 + z·A1 + z²·A2`, via a diagonal shift and sparse power
-/// iteration.
-fn perron_of_quadratic(blocks: &SparseQbdBlocks, z: f64) -> Result<f64> {
-    let m = blocks.level_len();
-    let a = quadratic_at(blocks, z, 1.0)?;
-    // Shift by the most negative diagonal so the matrix is nonnegative
-    // and the Perron root is the dominant eigenvalue.
-    let mut shift = 0.0_f64;
-    for r in 0..m {
-        shift = shift.max(-a.get(r, r));
-    }
-    let shifted = a.plus_scaled_identity(shift).map_err(QbdError::Linalg)?;
-    let p = power_iteration(&shifted, 1e-13, 2_000).map_err(QbdError::Linalg)?;
-    Ok(p.eigenvalue - shift)
-}
-
-/// Sign of the Perron root `χ(z)` of `A(z)`, robust to the graded
-/// regime where power iteration stalls.
-///
-/// For the lumped SQ(d) blocks `A0` is *nilpotent* (every up-transition
-/// strictly lowers the within-block template total), so for small `z`
-/// the spectrum of `A(z)` is a Puiseux cluster of near-equal moduli and
-/// power iteration cannot separate the dominant eigenvalue. In that
-/// case the sign is decided by the regular-splitting criterion instead:
-/// `χ(z) < 0` iff `−A(z)` is a nonsingular M-matrix iff Gauss–Seidel on
-/// `(−A(z))x = e` converges (its nonnegative iterates diverge exactly
-/// when the splitting radius reaches 1).
-fn perron_sign_of_quadratic(blocks: &SparseQbdBlocks, z: f64, budget: &Budget) -> Result<bool> {
-    match perron_of_quadratic(blocks, z) {
-        Ok(chi) if chi.is_finite() => Ok(chi > 0.0),
-        Ok(_) => m_matrix_sign(blocks, z, budget),
-        Err(QbdError::Linalg(_)) => m_matrix_sign(blocks, z, budget),
-        Err(e) => Err(e),
-    }
-}
-
-/// Regular-splitting sign test: returns `true` iff `χ(z) ≥ 0`, i.e. iff
-/// Gauss–Seidel on `(−A(z))x = 1` fails to converge (see
-/// [`perron_sign_of_quadratic`]).
-fn m_matrix_sign(blocks: &SparseQbdBlocks, z: f64, budget: &Budget) -> Result<bool> {
-    let m = blocks.level_len();
-    let b = quadratic_at(blocks, z, -1.0)?; // −A(z): Z-matrix, diag > 0
-    let mut diag = vec![0.0; m];
-    for (r, d) in diag.iter_mut().enumerate() {
-        *d = b.get(r, r);
-        if *d <= 0.0 {
-            return Err(QbdError::InvalidBlocks {
-                reason: format!("−A({z}) has non-positive diagonal {d} in row {r}"),
-            });
-        }
-    }
-    // Monotone GS iterates from 0: x_{k+1} = H x_k + c with H ≥ 0,
-    // c ≥ 0, so ‖x‖ either settles (M-matrix, χ < 0) or blows up.
-    let mut x = vec![0.0_f64; m];
-    let (blow_up, max_sweeps) = (1e12, 20_000);
-    let mut last_delta = f64::INFINITY;
-    let mut growth = 1.0;
-    for sweep in 0..max_sweeps {
-        // The sign test can burn thousands of sweeps near the root;
-        // poll every 64 to keep the per-sweep cost unmeasurable.
-        if sweep % 64 == 0 {
-            budget.check("m_matrix_sign", sweep, last_delta)?;
-        }
-        let mut delta: f64 = 0.0;
-        let mut norm: f64 = 0.0;
-        for r in 0..m {
-            let mut acc = 1.0; // rhs e_r = 1
-            for (c, v) in b.row(r) {
-                if c != r {
-                    acc -= v * x[c];
-                }
-            }
-            let next = acc / diag[r];
-            delta = delta.max((next - x[r]).abs());
-            x[r] = next;
-            norm = norm.max(next.abs());
-        }
-        if norm > blow_up {
-            return Ok(true);
-        }
-        if delta <= 1e-12 * (1.0 + norm) {
-            return Ok(false);
-        }
-        growth = delta / last_delta.max(f64::MIN_POSITIVE);
-        last_delta = delta;
-    }
-    // Near the root the splitting radius is ≈ 1 and neither limit is
-    // reached within the cap; classify by the terminal per-sweep growth
-    // of the update (≥ 1 ⇒ diverging ⇒ χ ≥ 0). Either call only
-    // misplaces the bisection bracket by its current width.
-    Ok(growth >= 1.0)
-}
-
-/// Smallest distance `δ` of the bracket's upper end `1 − δ` from 1.
-const MIN_BRACKET_OFFSET: f64 = 1e-9;
-
-/// Size of a Perron root the sign test resolves, relative to the rate
-/// scale `‖A1‖∞` (power iteration resolves about 1e-12 of it).
-const SIGN_RESOLUTION: f64 = 1e-8;
-
-/// Picks the upper end `1 − δ` of the decay-rate bracket, where `χ` must
-/// be negative. Since `χ(1) = 0` and `χ′(1) = π A2 e − π A0 e` is the
-/// drift margin, `χ(1 − δ) ≈ −δ · margin`: the first `δ` tried makes that
-/// product [`SIGN_RESOLUTION`] of the rate scale, so the sign test can
-/// resolve it (a fixed `δ = 1e-9` cannot near the stability boundary). A
-/// positive sign then means `1 − δ` lies below the root, and `δ` shrinks
-/// toward 1 until the sign turns or `δ` reaches [`MIN_BRACKET_OFFSET`].
-fn upper_bracket_offset(blocks: &SparseQbdBlocks, margin: f64, budget: &Budget) -> Result<f64> {
-    let scale = blocks.a1().norm_inf();
-    let mut delta = (SIGN_RESOLUTION * scale / margin).clamp(MIN_BRACKET_OFFSET, 0.5);
-    let mut tries = 0;
-    while perron_sign_of_quadratic(blocks, 1.0 - delta, budget)? {
-        if delta <= MIN_BRACKET_OFFSET {
-            return Err(QbdError::NoConvergence {
-                method: "decay_rate_bisection",
-                iterations: 0,
-                residual: f64::NAN,
-            });
-        }
-        tries += 1;
-        budget.check("decay_rate_bracket", tries, delta)?;
-        delta = (delta / 16.0).max(MIN_BRACKET_OFFSET);
-    }
-    Ok(delta)
-}
-
-/// Decay-rate-only fast path: computes `sp(R)` — the geometric tail
-/// decay per level — **without ever forming `R`**, as the unique root in
-/// `(0, 1)` of the Perron eigenvalue of `A(z) = A0 + z·A1 + z²·A2`
-/// (`χ(z)` is positive below the root, negative between it and 1, and
-/// `χ(1) = 0`). Each evaluation is one diagonal shift plus one
-/// [`power_iteration`](slb_linalg::power_iteration) on a
-/// CSR matrix — with a Gauss–Seidel M-matrix sign test as fallback for
-/// the nilpotent-`A0` regime where the spectrum clusters — so the cost
-/// per bisection step is `O(nnz · sweeps)`; this is the tail-exponent
-/// path for lumped blocks whose `R` would be dense and enormous.
-///
-/// The bracket's upper end sits where the drift margin makes `χ`
-/// resolvably negative, not at a fixed distance from 1, so models near
-/// the stability boundary still bracket. The bisection runs in log space
-/// (the root scales like `ρᴺ` and can be far below 1e-9 at production
-/// `N`) until the bracket is within relative width `tol`; rates smaller
-/// than an internal floor of `1e-14` are reported as the floor.
-///
-/// Dense counterpart: [`decay_rate`](crate::decay_rate), which computes
-/// `G`, then `R`, then its spectral radius.
-///
-/// # Errors
-///
-/// * [`QbdError::Unstable`] if Neuts' drift condition fails (the root
-///   would be ≥ 1).
-/// * [`QbdError::NoConvergence`] if the sign bracket cannot be
-///   established (numerically marginal stability: `χ` stays
-///   non-negative up to `1 − 1e-9`).
-/// * [`QbdError::Linalg`] from a failed power iteration.
-///
-/// # Examples
-///
-/// For M/M/1 the decay rate is exactly ρ:
-///
-/// ```
-/// use slb_linalg::CsrMatrix;
-/// use slb_qbd::{decay_rate_sparse, SparseQbdBlocks};
-///
-/// # fn main() -> Result<(), slb_qbd::QbdError> {
-/// let (lam, mu) = (0.4, 1.0);
-/// let one = |v: f64| CsrMatrix::from_triplets(1, 1, [(0, 0, v)]).unwrap();
-/// let blocks = SparseQbdBlocks::new(
-///     one(-lam), one(lam), one(mu),
-///     one(lam), one(-(lam + mu)), one(mu),
-/// )?;
-/// let eta = decay_rate_sparse(&blocks, 1e-10)?;
-/// assert!((eta - 0.4).abs() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn decay_rate_sparse(blocks: &SparseQbdBlocks, tol: f64) -> Result<f64> {
-    decay_rate_sparse_budgeted(blocks, tol, &Budget::unlimited())
-}
-
-/// [`decay_rate_sparse`] under a cooperative [`Budget`], polled once
-/// per bisection step and every 64 sweeps inside the Gauss–Seidel sign
-/// fallback.
-///
-/// # Errors
-///
-/// As [`decay_rate_sparse`], plus [`QbdError::Interrupted`]. The
-/// bisection cap surfaces as [`QbdError::NoConvergence`] (carrying the
-/// step count and residual bracket width) rather than silently
-/// reporting the midpoint of an unconverged bracket.
-pub fn decay_rate_sparse_budgeted(
-    blocks: &SparseQbdBlocks,
-    tol: f64,
-    budget: &Budget,
-) -> Result<f64> {
-    let (up, down) = blocks.drifts_budgeted(budget)?;
-    if up >= down {
-        return Err(QbdError::Unstable {
-            up_drift: up,
-            down_drift: down,
-        });
-    }
-    // Bracket the root: χ > 0 on (0, η), χ < 0 on (η, 1). Roots at or
-    // below the floor collapse the bracket onto the floor, which is
-    // then reported as-is (downstream truncation depths are insensitive
-    // at that scale).
-    let mut lo = DECAY_FLOOR;
-    let mut hi = 1.0 - upper_bracket_offset(blocks, down - up, budget)?;
-    // Log-space bisection: relative precision on a root that may sit
-    // anywhere between the floor and 1.
-    let mut iters = 0usize;
-    while hi - lo > tol * hi {
-        budget.check("decay_rate_bisection", iters, hi - lo)?;
-        if iters >= 200 {
-            // Reporting the midpoint of a wide bracket as "the decay
-            // rate" silently poisons every tail bound downstream;
-            // surface the unconverged bracket instead.
-            return Err(QbdError::NoConvergence {
-                method: "decay_rate_bisection",
-                iterations: iters,
-                residual: hi - lo,
-            });
-        }
-        let mid = (lo * hi).sqrt();
-        if perron_sign_of_quadratic(blocks, mid, budget)? {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-        iters += 1;
-    }
-    Ok((lo * hi).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,7 +404,7 @@ mod tests {
     fn logred_and_functional_agree() {
         let b = two_phase_blocks(0.4, 1.2, 1.0, 0.3);
         let g1 = logarithmic_reduction(&b, 1e-14, 64).unwrap();
-        let g2 = functional_iteration(&b, 1e-13, 200_000).unwrap();
+        let g2 = functional_iteration(&b, 1e-13, 200_000, &Budget::unlimited()).unwrap();
         assert!(
             g1.g.approx_eq(&g2.g, 1e-9),
             "logred {:?} vs functional {:?}",
@@ -755,7 +476,7 @@ mod tests {
         token.cancel();
         let budget = Budget::unlimited().cancel_token(token);
         let mut ws = Workspace::square(b.level_len());
-        match logarithmic_reduction_in_budgeted(&b, 1e-14, 64, &mut ws, &budget) {
+        match logarithmic_reduction_in(&b, 1e-14, 64, &mut ws, &budget) {
             Err(QbdError::Interrupted {
                 method: "logarithmic_reduction",
                 iterations: 0,
@@ -765,9 +486,9 @@ mod tests {
         }
         // The interruption path returned all scratch: the pool can run a
         // full solve without the shape check tripping on missing mats.
-        logarithmic_reduction_in(&b, 1e-14, 64, &mut ws).unwrap();
+        logarithmic_reduction_in(&b, 1e-14, 64, &mut ws, &Budget::unlimited()).unwrap();
         assert!(matches!(
-            functional_iteration_budgeted(&b, 1e-13, 200_000, &budget),
+            functional_iteration(&b, 1e-13, 200_000, &budget),
             Err(QbdError::Interrupted {
                 method: "functional_iteration",
                 ..

@@ -14,12 +14,12 @@
 //!   instead of LU;
 //! * [`SparseQbdBlocks::solve_decay_tail`] — a closed truncated solve for
 //!   models without a scalar tail: levels `0..L` explicit, the tail above
-//!   them closed through one censored hub state and summed as geometric,
-//!   `L` doubling from 4 until the closure is exact to a tolerance, all on
-//!   CSR blocks;
-//! * [`decay_rate_sparse`](crate::decay_rate_sparse) (in `logred`) — the
-//!   decay-rate-only fast path: `sp(R)` as the root of the Perron
-//!   eigenvalue of `A(z) = A0 + z·A1 + z²·A2` without ever forming `R`.
+//!   them closed through one censored hub state and summed as geometric
+//!   with the cut-balance decay `η`, `L` doubling from 4 until the
+//!   closure is exact to a tolerance, all on CSR blocks.
+//!
+//! The solves' tolerances and caps are private constants;
+//! [`SparseSolveOptions`] carries only their [`Budget`].
 //!
 //! Every Gauss–Seidel solve here aggregates over state classes (see
 //! [`null_vector_gs`]): the blocks carry a class label per boundary state
@@ -61,24 +61,33 @@ pub struct SparseQbdBlocks {
     level_classes: Vec<u32>,
 }
 
-/// Options for the sparse Gauss–Seidel solves on [`SparseQbdBlocks`].
-#[derive(Debug, Clone, PartialEq)]
+/// Scaled residual target `‖π M‖∞ / (‖M‖∞ ‖π‖∞)` of every Gauss–Seidel
+/// solve. The mean delay of an upper model near its stability boundary
+/// amplifies the residual by ~1e4 (N = 3, d = 1, T = 3, ρ = 0.567 reads
+/// 2.6e-8 off the dense value at 1e-12 and 3.1e-9 at 1e-13), and the
+/// lumped path must match the dense one to 1e-8.
+const GS_TOL: f64 = 1e-13;
+
+/// Iteration cap of one Gauss–Seidel solve ([`GsOptions::max_sweeps`]:
+/// each iteration is a forward and a backward pass).
+const GS_MAX_SWEEPS: usize = 50_000;
+
+/// Truncation target of [`SparseQbdBlocks::solve_decay_tail`]: the hub's
+/// return shape `w` is iterated until its flux-weighted change is at
+/// most this, and `L` levels are accepted once the closed tail holds, or
+/// the closure may misroute, at most this much probability mass.
+const TAIL_TOL: f64 = 1e-12;
+
+/// Explicit levels of the first truncation round.
+const INITIAL_LEVELS: usize = 4;
+
+/// Hard cap on explicit levels (the doubling stops here).
+const MAX_LEVELS: usize = 4_096;
+
+/// Options for the sparse solves on [`SparseQbdBlocks`]; the tolerances
+/// and caps are fixed, so the one setting is the budget.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseSolveOptions {
-    /// Scaled residual target `‖π M‖∞ / (‖M‖∞ ‖π‖∞)` for Gauss–Seidel.
-    pub gs_tol: f64,
-    /// Iteration cap for one Gauss–Seidel solve ([`GsOptions::max_sweeps`]:
-    /// each iteration is a forward and a backward pass).
-    pub gs_max_sweeps: usize,
-    /// Truncation target for [`SparseQbdBlocks::solve_decay_tail`]: the
-    /// hub's return shape `w` is iterated until its flux-weighted change
-    /// is at most this, and `L` levels are accepted once the closed tail
-    /// holds, or the closure may misroute, at most this much probability
-    /// mass.
-    pub tail_tol: f64,
-    /// Explicit levels of the first truncation round (at least 2).
-    pub initial_levels: usize,
-    /// Hard cap on explicit levels (the doubling stops here).
-    pub max_levels: usize,
     /// Cooperative cancellation budget for the solve: deadline, cancel
     /// token and fail-point triggers, polled once per Gauss–Seidel
     /// iteration and once per truncation round. Defaults to
@@ -86,31 +95,13 @@ pub struct SparseSolveOptions {
     pub budget: Budget,
 }
 
-impl Default for SparseSolveOptions {
-    /// `gs_tol` is 1e-13: the mean delay of an upper model near its
-    /// stability boundary amplifies the residual by ~1e4 (N = 3, d = 1,
-    /// T = 3, ρ = 0.567 reads 2.6e-8 off the dense value at 1e-12 and
-    /// 3.1e-9 at 1e-13), and the lumped path must match the dense one to
-    /// 1e-8.
-    fn default() -> Self {
-        SparseSolveOptions {
-            gs_tol: 1e-13,
-            gs_max_sweeps: 50_000,
-            tail_tol: 1e-12,
-            initial_levels: 4,
-            max_levels: 4_096,
-            budget: Budget::unlimited(),
-        }
-    }
-}
-
 impl SparseSolveOptions {
     /// The Gauss–Seidel options of one solve over a system with these
     /// class labels, started from `start` (uniform when `None`).
     pub(crate) fn gs<'a>(&self, classes: &'a [u32], start: Option<&'a [f64]>) -> GsOptions<'a> {
         GsOptions {
-            tol: self.gs_tol,
-            max_sweeps: self.gs_max_sweeps,
+            tol: GS_TOL,
+            max_sweeps: GS_MAX_SWEEPS,
             budget: self.budget.clone(),
             classes: Some(classes),
             start,
@@ -339,27 +330,17 @@ impl SparseQbdBlocks {
     }
 
     /// Stationary vector of the phase process `A = A0 + A1 + A2`, via
-    /// sparse Gauss–Seidel (the dense container uses GTH here).
+    /// sparse Gauss–Seidel (the dense container uses GTH here), with its
+    /// iteration count and residual, under a cooperative [`Budget`] — the
+    /// phase chain is block-sized (`m` reaches six figures at production
+    /// `N`), so its solve must be interruptible too. It aggregates over
+    /// the level class labels.
     ///
     /// # Errors
     ///
     /// [`QbdError::NoConvergence`] if the Gauss–Seidel iteration fails
-    /// to converge (e.g. `A` is reducible).
-    pub fn phase_stationary(&self) -> Result<Vec<f64>> {
-        Ok(self.phase_solve(&Budget::unlimited())?.x)
-    }
-
-    /// The Gauss–Seidel solve behind
-    /// [`SparseQbdBlocks::phase_stationary`], with its iteration count and
-    /// residual, under a cooperative [`Budget`] — the phase chain is
-    /// block-sized (`m` reaches six figures at production `N`), so its
-    /// solve must be interruptible too. It aggregates over the level
-    /// class labels.
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseQbdBlocks::phase_stationary`], plus
-    /// [`QbdError::Interrupted`].
+    /// to converge (e.g. `A` is reducible), [`QbdError::Interrupted`] if
+    /// the budget trips.
     pub fn phase_solve(&self, budget: &Budget) -> Result<NullVector> {
         let m = self.level_len();
         if m == 1 {
@@ -386,21 +367,12 @@ impl SparseQbdBlocks {
     }
 
     /// Mean drifts `(π A0 e, π A2 e)` of the level process under the phase
-    /// stationary vector `π`.
+    /// stationary vector `π`, solved under `budget`.
     ///
     /// # Errors
     ///
-    /// Propagates [`SparseQbdBlocks::phase_stationary`] failures.
-    pub fn drifts(&self) -> Result<(f64, f64)> {
-        self.drifts_budgeted(&Budget::unlimited())
-    }
-
-    /// [`SparseQbdBlocks::drifts`] under a cooperative [`Budget`].
-    ///
-    /// # Errors
-    ///
-    /// As [`SparseQbdBlocks::drifts`], plus [`QbdError::Interrupted`].
-    pub fn drifts_budgeted(&self, budget: &Budget) -> Result<(f64, f64)> {
+    /// Propagates [`SparseQbdBlocks::phase_solve`] failures.
+    pub fn drifts(&self, budget: &Budget) -> Result<(f64, f64)> {
         let pi = self.phase_solve(budget)?.x;
         let dot_rows = |m: &CsrMatrix| -> f64 {
             m.row_sums()
@@ -419,13 +391,13 @@ impl SparseQbdBlocks {
     ///
     /// Propagates [`SparseQbdBlocks::drifts`] failures.
     pub fn is_stable(&self) -> Result<bool> {
-        let (up, down) = self.drifts()?;
+        let (up, down) = self.drifts(&Budget::unlimited())?;
         Ok(up < down)
     }
 
     /// Solves the QBD on levels `0..L` with the tail above level `L−1`
     /// closed through one censored hub state, doubling `L` until the
-    /// closure is exact to [`SparseSolveOptions::tail_tol`] — never
+    /// closure is exact to 1e-12 of the probability mass — never
     /// leaving CSR form and never forming `G`, `R` or a dense block.
     ///
     /// Censoring the levels above `L−1` out of the chain leaves the top
@@ -443,16 +415,17 @@ impl SparseQbdBlocks {
     /// `w` starts from the phase law `π` of `A0 + A1 + A2` and is set to
     /// the shape `x_top·A2 / (x_top·A2·e)` of the solved top level
     /// `x_top`, each update a warm-started re-solve, until the
-    /// flux-weighted change `(x_top·A0·e)·‖Δw‖₁` is at most `tail_tol`.
+    /// flux-weighted change `(x_top·A0·e)·‖Δw‖₁` is at most the
+    /// truncation target 1e-12.
     /// The tail above the top level is summed as geometric with the
     /// cut-balance ratio `η = x_top·A0·e / x_top·A2·e`: each level `L−1+k`
     /// is `ηᵏ·x_top`, so the top level weighs `1/(1−η)` in the
     /// normalization.
     ///
-    /// `L` starts at [`SparseSolveOptions::initial_levels`]. A round
-    /// with `w` settled is accepted when the closed tail holds at most
-    /// `tail_tol` of the mass, or when the mass the closure may misplace
-    /// is at most `tail_tol`: the closure and the tail sum both give every
+    /// `L` starts at 4 and is capped at 4,096. A round with `w` settled is
+    /// accepted when the closed tail holds at most the target of the
+    /// mass, or when the mass the closure may misplace is at most the
+    /// target: the closure and the tail sum both give every
     /// level from `L−1` up the top level's shape, so they misplace at
     /// most the mass there times the shape change `‖x̂_{L−1} −
     /// x̂_{L−2}‖₁` (`x̂ = x/(x·e)`) between the top two levels, which
@@ -507,9 +480,8 @@ impl SparseQbdBlocks {
                 down_drift: down,
             });
         }
-        let tol = opts.tail_tol;
         let mut w = closure.entry_shape(&pi);
-        let mut levels = opts.initial_levels.max(2);
+        let mut levels = INITIAL_LEVELS;
         let mut start: Option<Vec<f64>> = None;
         let mut total_sweeps = 0;
         loop {
@@ -529,23 +501,23 @@ impl SparseQbdBlocks {
                 w.clone_from(&closed.w);
                 // A shift that stops falling is left to the next round,
                 // whose smaller top-level flux shrinks it.
-                if shift <= tol || shift >= last_shift {
-                    break (closed, shift <= tol);
+                if shift <= TAIL_TOL || shift >= last_shift {
+                    break (closed, shift <= TAIL_TOL);
                 }
                 last_shift = shift;
                 start = Some(closed.raw);
             };
-            if settled && closed.complete(tol) {
+            if settled && closed.complete() {
                 return Ok(closed.finish(self, levels, total_sweeps));
             }
-            if levels >= opts.max_levels {
+            if levels >= MAX_LEVELS {
                 return Err(QbdError::NoConvergence {
                     method: "decay_tail_truncation",
                     iterations: levels,
                     residual: closed.tail_mass.min(closed.closure_error),
                 });
             }
-            let next = (levels * 2).min(opts.max_levels);
+            let next = (levels * 2).min(MAX_LEVELS);
             start = Some(closed.extend(self, levels, next));
             levels = next;
         }
@@ -719,10 +691,10 @@ struct Closed {
 }
 
 impl Closed {
-    /// Whether `L` levels suffice: the tail holds at most `tol` of the
-    /// mass, or the closure misplaces at most `tol` of it.
-    fn complete(&self, tol: f64) -> bool {
-        self.tail_mass <= tol || self.closure_error <= tol
+    /// Whether `L` levels suffice: the tail holds at most [`TAIL_TOL`] of
+    /// the mass, or the closure misplaces at most that much of it.
+    fn complete(&self) -> bool {
+        self.tail_mass <= TAIL_TOL || self.closure_error <= TAIL_TOL
     }
 
     /// The start of the next round at `next` levels: this round's levels,
@@ -826,9 +798,9 @@ impl TruncatedStationary {
 
     /// The tail's decay `η = π_{L−1}·A0·e / π_{L−1}·A2·e`, the
     /// cut-balance ratio of the accepted top level: an estimate of
-    /// `sp(R)` (compare [`decay_rate_sparse`](crate::decay_rate_sparse)),
-    /// meaningful only where the tail carries mass above
-    /// [`SparseSolveOptions::tail_tol`].
+    /// `sp(R)` (compare the dense [`decay_rate`](crate::decay_rate)),
+    /// meaningful only where the tail carries mass above the truncation
+    /// target 1e-12.
     pub fn decay(&self) -> f64 {
         self.decay
     }
@@ -893,7 +865,7 @@ impl TruncatedStationary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SolveOptions, Tail};
+    use crate::Tail;
     use slb_linalg::Matrix;
 
     fn mm1_dense(lam: f64, mu: f64) -> QbdBlocks {
@@ -932,7 +904,7 @@ mod tests {
         let dense = two_phase_dense();
         let sparse = SparseQbdBlocks::from_dense(&dense);
         let (du, dd) = dense.drifts().unwrap();
-        let (su, sd) = sparse.drifts().unwrap();
+        let (su, sd) = sparse.drifts(&Budget::unlimited()).unwrap();
         assert!((du - su).abs() < 1e-10, "{du} vs {su}");
         assert!((dd - sd).abs() < 1e-10, "{dd} vs {sd}");
         assert!(sparse.is_stable().unwrap());
@@ -960,7 +932,7 @@ mod tests {
     fn decay_tail_matches_dense_mm1() {
         let rho = 0.7;
         let dense = mm1_dense(rho, 1.0);
-        let full = dense.solve(&SolveOptions::default()).unwrap();
+        let full = dense.solve().unwrap();
         let sparse = SparseQbdBlocks::from_dense(&dense);
         let trunc = sparse
             .solve_decay_tail(&SparseSolveOptions::default())
@@ -983,7 +955,7 @@ mod tests {
     #[test]
     fn decay_tail_matches_dense_two_phase() {
         let dense = two_phase_dense();
-        let full = dense.solve(&SolveOptions::default()).unwrap();
+        let full = dense.solve().unwrap();
         let sparse = SparseQbdBlocks::from_dense(&dense);
         let trunc = sparse
             .solve_decay_tail(&SparseSolveOptions::default())
@@ -1092,9 +1064,7 @@ mod tests {
     fn scalar_tail_matches_dense() {
         let rho = 0.6;
         let dense = mm1_dense(rho, 1.0);
-        let want = dense
-            .solve_with_scalar_tail(rho, &SolveOptions::default())
-            .unwrap();
+        let want = dense.solve_with_scalar_tail(rho).unwrap();
         let sparse = SparseQbdBlocks::from_dense(&dense);
         let got = sparse
             .solve_scalar_tail(rho, &SparseSolveOptions::default())

@@ -28,13 +28,13 @@ use crate::{QbdBlocks, Result};
 ///
 /// ```
 /// use slb_markov::Map;
-/// use slb_qbd::{models, SolveOptions};
+/// use slb_qbd::models;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Poisson MAP reduces MAP/M/1 to M/M/1: P(L = 0) = 1 − ρ.
 /// let map = Map::poisson(0.4)?;
 /// let blocks = models::map_m1_blocks(&map, 1.0)?;
-/// let sol = blocks.solve(&SolveOptions::default())?;
+/// let sol = blocks.solve()?;
 /// assert!((sol.boundary()[0] - 0.6).abs() < 1e-10);
 /// # Ok(())
 /// # }
@@ -63,7 +63,7 @@ pub fn map_m1_blocks(map: &Map, mu: f64) -> Result<QbdBlocks> {
 /// Panics if `mu <= 0`.
 pub fn map_m1_mean_jobs(map: &Map, mu: f64) -> Result<f64> {
     let blocks = map_m1_blocks(map, mu)?;
-    let sol = blocks.solve(&crate::SolveOptions::default())?;
+    let sol = blocks.solve()?;
     let p = map.phases();
     // Boundary = 0 jobs; repeating level q = q + 1 jobs.
     Ok(sol.mean_linear_cost(&vec![0.0; p], &vec![1.0; p], &vec![1.0; p]))
@@ -87,7 +87,6 @@ pub fn map_m1_mean_sojourn(map: &Map, mu: f64) -> Result<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolveOptions;
 
     #[test]
     fn poisson_map_m1_is_mm1() {
@@ -125,7 +124,7 @@ mod tests {
     fn solution_is_distribution() {
         let map = Map::mmpp2(0.4, 0.6, 0.3, 1.1).unwrap();
         let blocks = map_m1_blocks(&map, 1.0).unwrap();
-        let sol = blocks.solve(&SolveOptions::default()).unwrap();
+        let sol = blocks.solve().unwrap();
         assert!((sol.total_mass() - 1.0).abs() < 1e-9);
         assert!(sol.residual() < 1e-9);
     }

@@ -32,27 +32,21 @@ pub enum Tail {
     Scalar(f64),
 }
 
-/// Options controlling the `G` computation inside [`QbdBlocks::solve`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveOptions {
-    /// Convergence tolerance for logarithmic reduction.
-    pub g_tol: f64,
-    /// Iteration budget for logarithmic reduction.
-    pub g_max_iter: usize,
-    /// Absolute residual above which the boundary solve falls back from
-    /// the fast replace-one-equation path to least squares.
-    pub residual_tol: f64,
-}
+/// Convergence tolerance of the logarithmic reduction for `G` in
+/// [`QbdBlocks::solve`].
+const G_TOL: f64 = 1e-14;
 
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            g_tol: 1e-14,
-            g_max_iter: 64,
-            residual_tol: 1e-8,
-        }
-    }
-}
+/// Iteration cap of that reduction: each doubling squares the horizon,
+/// so 64 iterations cover `2⁶⁴` levels.
+const G_MAX_ITER: usize = 64;
+
+/// Absolute residual `‖π M‖∞` above which the boundary solve falls back
+/// from the fast replace-one-equation path to least squares.
+const RESIDUAL_TOL: f64 = 1e-8;
+
+/// Absolute residual above which even the least-squares boundary solve
+/// is rejected as [`QbdError::NoConvergence`].
+const MAX_RESIDUAL: f64 = 1e-6;
 
 /// The stationary distribution of a QBD, in the factored form
 /// `(π_b, π_0, π_1, tail)`.
@@ -280,7 +274,7 @@ impl QbdBlocks {
     /// * [`QbdError::Unstable`] if Neuts' drift condition fails.
     /// * [`QbdError::NoConvergence`] from the `G` computation.
     /// * [`QbdError::Linalg`] if the boundary system is singular.
-    pub fn solve(&self, opts: &SolveOptions) -> Result<QbdStationary> {
+    pub fn solve(&self) -> Result<QbdStationary> {
         let (up, down) = self.drifts()?;
         if up >= down {
             return Err(QbdError::Unstable {
@@ -288,9 +282,9 @@ impl QbdBlocks {
                 down_drift: down,
             });
         }
-        let g = logarithmic_reduction(self, opts.g_tol, opts.g_max_iter)?;
+        let g = logarithmic_reduction(self, G_TOL, G_MAX_ITER)?;
         let r = rate_matrix(self, &g.g)?;
-        let sol = self.solve_boundary(Tail::Matrix(r), opts)?;
+        let sol = self.solve_boundary(Tail::Matrix(r))?;
         Ok(QbdStationary {
             g_iterations: g.iterations,
             ..sol
@@ -308,20 +302,20 @@ impl QbdBlocks {
     ///
     /// * [`QbdError::InvalidBlocks`] if `β ∉ (0, 1)`.
     /// * [`QbdError::Linalg`] if the boundary system is singular.
-    pub fn solve_with_scalar_tail(&self, beta: f64, opts: &SolveOptions) -> Result<QbdStationary> {
+    pub fn solve_with_scalar_tail(&self, beta: f64) -> Result<QbdStationary> {
         if !(0.0..1.0).contains(&beta) || beta == 0.0 {
             return Err(QbdError::InvalidBlocks {
                 reason: format!("scalar tail β must lie in (0, 1), got {beta}"),
             });
         }
-        self.solve_boundary(Tail::Scalar(beta), opts)
+        self.solve_boundary(Tail::Scalar(beta))
     }
 
     /// Builds and solves the finite system
     /// `(π_b, π_0, π_1)·M = 0`, `π_b e + π_0 e + π_1 w = 1`
     /// where the third block column of `M` is `A1 + R A2` (or
     /// `A1 + β A2`) and `w = (I−R)⁻¹ e` (or `e/(1−β)`).
-    fn solve_boundary(&self, tail: Tail, opts: &SolveOptions) -> Result<QbdStationary> {
+    fn solve_boundary(&self, tail: Tail) -> Result<QbdStationary> {
         let nb = self.boundary_len();
         let m = self.level_len();
         let k = nb + 2 * m;
@@ -372,12 +366,12 @@ impl QbdBlocks {
         // Fast path: replace balance equation 0 with the normalization and
         // solve the transposed square system.
         let pi = match solve_replacing_equation(&big, &norm) {
-            Ok(pi) if residual_of(&sparse, &pi) <= opts.residual_tol => pi,
+            Ok(pi) if residual_of(&sparse, &pi) <= RESIDUAL_TOL => pi,
             _ => solve_least_squares(&big, &norm)?,
         };
 
         let res = residual_of(&sparse, &pi);
-        if res > opts.residual_tol.max(1e-6) {
+        if res > MAX_RESIDUAL {
             return Err(QbdError::NoConvergence {
                 method: "qbd_boundary_solve",
                 iterations: 1,
@@ -552,7 +546,7 @@ mod tests {
     fn mm1_full_solution_geometric() {
         let rho = 0.6;
         let b = mm1_blocks(rho, 1.0);
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // Boundary = state 0, level q = state q+1.
         assert!((sol.boundary()[0] - (1.0 - rho)).abs() < 1e-10);
         for q in 0..6 {
@@ -572,11 +566,9 @@ mod tests {
     fn mm1_scalar_tail_matches_full() {
         let rho = 0.6;
         let b = mm1_blocks(rho, 1.0);
-        let full = b.solve(&SolveOptions::default()).unwrap();
+        let full = b.solve().unwrap();
         // For M/M/1, levels have a single state, so the tail scalar is ρ.
-        let scalar = b
-            .solve_with_scalar_tail(rho, &SolveOptions::default())
-            .unwrap();
+        let scalar = b.solve_with_scalar_tail(rho).unwrap();
         assert!((full.boundary()[0] - scalar.boundary()[0]).abs() < 1e-10);
         assert!((full.level_prob(3)[0] - scalar.level_prob(3)[0]).abs() < 1e-10);
         assert_eq!(scalar.g_iterations(), 0);
@@ -586,7 +578,7 @@ mod tests {
     fn mm1_mean_jobs_via_linear_cost() {
         let rho = 0.7;
         let b = mm1_blocks(rho, 1.0);
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // Number of jobs: boundary state has 0; level q has q+1 jobs
         // (cost0 = 1, growth = 1).
         let el = sol.mean_linear_cost(&[0.0], &[1.0], &[1.0]);
@@ -597,24 +589,15 @@ mod tests {
     #[test]
     fn unstable_detected() {
         let b = mm1_blocks(1.2, 1.0);
-        assert!(matches!(
-            b.solve(&SolveOptions::default()),
-            Err(QbdError::Unstable { .. })
-        ));
+        assert!(matches!(b.solve(), Err(QbdError::Unstable { .. })));
     }
 
     #[test]
     fn scalar_tail_rejects_bad_beta() {
         let b = mm1_blocks(0.4, 1.0);
-        assert!(b
-            .solve_with_scalar_tail(1.0, &SolveOptions::default())
-            .is_err());
-        assert!(b
-            .solve_with_scalar_tail(0.0, &SolveOptions::default())
-            .is_err());
-        assert!(b
-            .solve_with_scalar_tail(-0.3, &SolveOptions::default())
-            .is_err());
+        assert!(b.solve_with_scalar_tail(1.0).is_err());
+        assert!(b.solve_with_scalar_tail(0.0).is_err());
+        assert!(b.solve_with_scalar_tail(-0.3).is_err());
     }
 
     /// Two-phase QBD solved both matrix-geometrically and by brute-force
@@ -630,7 +613,7 @@ mod tests {
         let r10 = a2.clone();
         let b = QbdBlocks::new(r00, r01, r10, a0, a1, a2).unwrap();
 
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         assert!((sol.total_mass() - 1.0).abs() < 1e-9);
 
         // Brute force: truncate at 60 levels and GTH-solve.
@@ -656,7 +639,7 @@ mod tests {
     fn per_level_cost_matches_linear_closed_form() {
         let rho = 0.7;
         let b = mm1_blocks(rho, 1.0);
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // Linear cost via both APIs must agree.
         let linear = sol.mean_linear_cost(&[0.0], &[1.0], &[1.0]);
         let general = sol.mean_cost_per_level(&[0.0], |q, _| q as f64 + 1.0, 1e-14);
@@ -668,7 +651,7 @@ mod tests {
         // P(L >= 3) for M/M/1 = ρ³, via an indicator cost.
         let rho = 0.6;
         let b = mm1_blocks(rho, 1.0);
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // Level q corresponds to L = q + 1 jobs.
         let p_ge3 =
             sol.mean_cost_per_level(&[0.0], |q, _| if q + 1 >= 3 { 1.0 } else { 0.0 }, 1e-14);
@@ -679,7 +662,7 @@ mod tests {
     fn for_each_level_reproduces_geometric_masses() {
         let rho = 0.7;
         let b = mm1_blocks(rho, 1.0);
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         let mut seen = Vec::new();
         sol.for_each_level(1e-12, |q, v| {
             assert_eq!(v.len(), 1);
@@ -698,7 +681,7 @@ mod tests {
     #[test]
     fn level_mass_decreases_geometrically() {
         let b = mm1_blocks(0.8, 1.0);
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         let m1 = sol.level_mass(1);
         let m2 = sol.level_mass(2);
         let m3 = sol.level_mass(3);

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use slb_linalg::Matrix;
+use slb_linalg::{Budget, Matrix};
 use slb_qbd::{
     cyclic_reduction, functional_iteration, logarithmic_reduction, u_based_iteration, QbdBlocks,
     QbdError,
@@ -67,7 +67,9 @@ fn iteration_loops_allocate_nothing_after_setup() {
         ("logarithmic_reduction", logarithmic_reduction),
         ("cyclic_reduction", cyclic_reduction),
         ("u_based_iteration", u_based_iteration),
-        ("functional_iteration", functional_iteration),
+        ("functional_iteration", |b, tol, max_iter| {
+            functional_iteration(b, tol, max_iter, &Budget::unlimited())
+        }),
     ];
     for (name, algo) in algos {
         // Warm up allocator-internal lazy state.

@@ -2,10 +2,8 @@
 //! two-phase QBD processes.
 
 use proptest::prelude::*;
-use slb_linalg::Matrix;
-use slb_qbd::{
-    functional_iteration, logarithmic_reduction, rate_matrix, QbdBlocks, SolveOptions, Tail,
-};
+use slb_linalg::{Budget, Matrix};
+use slb_qbd::{functional_iteration, logarithmic_reduction, rate_matrix, QbdBlocks, Tail};
 
 /// Random stable two-phase QBD (MMPP/M/1-flavoured): per-phase arrival
 /// rates below the service rate, positive phase switching.
@@ -39,7 +37,7 @@ proptest! {
     #[test]
     fn logred_agrees_with_functional_iteration(b in stable_two_phase()) {
         let g1 = logarithmic_reduction(&b, 1e-14, 64).unwrap();
-        let g2 = functional_iteration(&b, 1e-12, 500_000).unwrap();
+        let g2 = functional_iteration(&b, 1e-12, 500_000, &Budget::unlimited()).unwrap();
         prop_assert!(g1.g.approx_eq(&g2.g, 1e-8));
     }
 
@@ -58,7 +56,7 @@ proptest! {
 
     #[test]
     fn solution_is_a_distribution_matching_truncation(b in stable_two_phase()) {
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         prop_assert!((sol.total_mass() - 1.0).abs() < 1e-8);
         prop_assert!(sol.residual() < 1e-8);
 
@@ -80,7 +78,7 @@ proptest! {
 
     #[test]
     fn mean_cost_matches_truncated_sum(b in stable_two_phase()) {
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // Cost = level index (number of "jobs"): boundary 0, level q -> q+1.
         let mean = sol.mean_linear_cost(&[0.0, 0.0], &[1.0, 1.0], &[1.0, 1.0]);
 
@@ -95,7 +93,7 @@ proptest! {
 
     #[test]
     fn matrix_tail_consistency(b in stable_two_phase()) {
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // π_{q+1} = π_q · R must hold for generated levels.
         if let Tail::Matrix(r) = sol.tail() {
             let p3 = sol.level_prob(3);
@@ -133,7 +131,7 @@ proptest! {
         use slb_qbd::decay_rate;
         let eta = decay_rate(&b, 1e-14, 64).unwrap();
         prop_assert!(eta > 0.0 && eta < 1.0, "eta = {eta}");
-        let sol = b.solve(&SolveOptions::default()).unwrap();
+        let sol = b.solve().unwrap();
         // Deep in the tail, successive level masses contract by sp(R).
         let m20 = sol.level_mass(20);
         let m21 = sol.level_mass(21);

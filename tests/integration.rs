@@ -6,7 +6,7 @@ use slb::core::brute::BruteForce;
 use slb::core::occupancy::occupancy_to_state;
 use slb::core::precedence::verify_redirects;
 use slb::core::{ModelVariant, OccupancySpace, State};
-use slb::qbd::{SolveOptions, Tail};
+use slb::qbd::Tail;
 use slb::{BoundKind, BoundModel, Policy, SimConfig, Sqd};
 
 /// The central sandwich property, against the brute-force oracle:
@@ -139,7 +139,7 @@ fn theorem3_scalar_tail_is_rho_to_the_n() {
         let sqd = Sqd::new(n, d, lam).unwrap();
         let model = BoundModel::new(sqd, BoundKind::Lower, t).unwrap();
         let blocks = model.qbd_blocks().unwrap();
-        let sol = blocks.solve(&SolveOptions::default()).unwrap();
+        let sol = blocks.solve().unwrap();
         let rho_n = lam.powi(n as i32);
         assert!(matches!(sol.tail(), Tail::Matrix(_)));
 
@@ -249,7 +249,7 @@ fn more_choices_less_delay() {
 #[test]
 fn redirects_sound_across_evaluation_grid() {
     for (n, t) in [(3usize, 2u32), (3, 3), (6, 3)] {
-        let space = OccupancySpace::new(n, t).unwrap();
+        let space = OccupancySpace::new(n, t, &slb::linalg::Budget::unlimited()).unwrap();
         let template = |i| space.block0_state(i).to_vec();
         let one_up = |i| {
             let mut occ = template(i);
